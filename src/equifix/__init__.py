@@ -19,6 +19,7 @@ from .errors import (
     ExponentOverflow,
     InsufficientPrecision,
     InvalidQuotient,
+    LimitExceeded,
     NonCommuting,
     NotOrderP,
     OutsideWindow,

@@ -11,8 +11,10 @@ Subcommands
 Configs are YAML with keys p, d, seed (a list of
 {in: [comp, exp], out: [comp, exp], coeff: c} taps), and optional
 label, precision, l_max, n_max, window ("lo:hi" or [lo, hi]) and
-rng_seed.  Flags override config values.  Exit codes: 0 success,
-1 validation failure, 2 soft window failure, 3 I/O or usage error.
+rng_seed.  Any other key, and an integer field holding anything but a
+YAML integer, is a parse error.  Flags override config values.  Exit
+codes: 0 success, 1 validation failure, 2 soft window failure, 3 I/O
+or usage error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     EmptyFixedSpace,
     EquifixError,
     InsufficientPrecision,
+    LimitExceeded,
     NonCommuting,
     NotOrderP,
     WindowTooNarrow,
@@ -72,6 +75,9 @@ EXAMPLES: dict[str, dict] = {
         "seed": [((1, 0), (2, 0), 1), ((2, 0), (3, 0), 1)],
     },
 }
+
+_CONFIG_KEYS = ("p", "d", "seed", "label", "precision", "l_max", "n_max", "window", "rng_seed")
+_INT_KEYS = ("p", "d", "precision", "l_max", "n_max", "rng_seed")
 
 _TAP_SCHEMA = {
     "type": "object",
@@ -201,6 +207,36 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config(data: dict) -> None:
+    """Reject unknown keys and integer fields holding anything but a YAML
+    integer; each ValueError names the offending key."""
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+    for key in _INT_KEYS:
+        if data.get(key) is not None and not _is_int(data[key]):
+            raise ValueError(f"config key {key!r} must be an integer, got {data[key]!r}")
+    seed = data.get("seed") or []
+    if not isinstance(seed, list):
+        raise ValueError(f"config key 'seed' must be a list of taps, got {seed!r}")
+    for i, item in enumerate(seed):
+        if not isinstance(item, dict):
+            raise ValueError(f"seed[{i}] must be a mapping with keys in, out, coeff")
+        for key, value in item.items():
+            if key not in _TAP_SCHEMA["properties"]:
+                raise ValueError(f"unknown key {key!r} in seed[{i}]")
+            parts = value if isinstance(value, list) else [value]
+            if not all(_is_int(x) for x in parts):
+                raise ValueError(f"seed[{i}] key {key!r} must hold integers, got {value!r}")
+    window = data.get("window")
+    if isinstance(window, list) and not all(_is_int(x) for x in window):
+        raise ValueError(f"config key 'window' must hold integers, got {window!r}")
+
+
 def _spec_from_data(data: dict) -> ActionSpec:
     """Build the action spec; structural mistakes surface as ValueError."""
     try:
@@ -327,6 +363,8 @@ def _classify(exc: EquifixError) -> tuple[int, str, str]:
         return 1, "validation-failure", "non-commuting"
     if isinstance(exc, ChainInvariantViolation):
         return 1, "validation-failure", "invariant-violation"
+    if isinstance(exc, LimitExceeded):
+        return 1, "validation-failure", "limit-exceeded"
     if isinstance(exc, DimensionMismatch):
         return 1, "validation-failure", "parse-error"
     if isinstance(exc, EmptyFixedSpace):
@@ -363,6 +401,7 @@ def _prepare(args, command):
     """
     data = _load_config(args.config)
     try:
+        _check_config(data)
         spec = _spec_from_data(data)
         params = _resolve_params(args, data)
     except (ValueError, DimensionMismatch) as exc:

@@ -15,6 +15,10 @@ class DimensionMismatch(EquifixError, ValueError):
     """Operands live over different fields, dimensions, or windows."""
 
 
+class LimitExceeded(DimensionMismatch):
+    """A size cap was hit: matrix or window dimension, generator count."""
+
+
 class InvalidQuotient(EquifixError, ValueError):
     """Quotient requested by a space that is not contained in the ambient."""
 

@@ -2,9 +2,11 @@
 
 The pipeline realized here, all in exact window coordinates:
 
-  1. For each depth ell, compute the largest subspace of the lattice
-     image that every visible generator maps onto itself
-     (max_invariant_subspace), giving a descending chain whose
+  1. For each depth ell, close the constraint rows of the lattice image
+     under right multiplication by every visible generator (the spin-up
+     of max_invariant_subspace); the kernel of the closure is the
+     largest subspace of the lattice image that every generator maps
+     onto itself.  The members form a descending chain whose
      intersection m_hat is stable under multiplication by t.
   2. Intersect the window fixed space with m_hat, pick a deterministic
      nonzero witness (preferring one outside t*m_hat), and re-verify it
@@ -49,19 +51,18 @@ from .linalg import (
     Subspace,
     kernel,
     map_image,
-    map_preimage,
     quotient,
     rref,
 )
 from .replab import FiniteRep
 
 
-def window_b_image(w: LatticeWindow) -> Subspace:
-    """Coordinate image of the lattice (exponents >= 0) inside the window."""
+def window_b_image(w: LatticeWindow, floor: int = 0) -> Subspace:
+    """Coordinate image of t^floor times the lattice (exponents >= floor) inside the window."""
     rows = []
     eye = np.eye(w.dim, dtype=np.int64)
     for c in range(1, w.d + 1):
-        for e in range(max(w.lo, 0), w.hi):
+        for e in range(max(w.lo, floor), w.hi):
             rows.append(eye[w.index(c, e)])
     return Subspace.from_rows(w.p, w.dim, rows)
 
@@ -93,11 +94,15 @@ def shift_matrix(w: LatticeWindow) -> FpMatrix:
 def max_invariant_subspace(gens, ambient: LatticeWindow, b_image: Subspace) -> Subspace:
     """Largest subspace N of b_image with g*N = N for every generator.
 
-    Greatest fixed point of N -> N ∩ ⋂_g (image(g,N) ∩ preimage(g,N)),
-    iterated from b_image.  Both the image and preimage cuts are taken
-    against the subspace fixed at the start of each round, which makes
-    the result independent of generator order; termination follows
-    from strict dimension descent.
+    Spin-up: starting from the constraint rows C of b_image, replace the
+    row space R by R + R*g for each generator in turn, sweeping until a
+    sweep adds no rank, and return the kernel of R.  R is then the
+    smallest row space containing C with R*g ⊆ R for every g, so its
+    kernel N satisfies g*N ⊆ N, hence g*N = N since g is invertible,
+    and lies inside b_image.  Any N' ⊆ b_image with g*N' = N' for all g
+    has C*h*N' = 0 for every word h in the generators, so N' ⊆ N.  The
+    result is therefore correct for any invertible generators and
+    independent of their order.
     """
     mats = list(gens)
     for m in mats:
@@ -107,16 +112,14 @@ def max_invariant_subspace(gens, ambient: LatticeWindow, b_image: Subspace) -> S
             raise SingularGenerator("generator is singular on the window")
     if b_image.p != ambient.p or b_image.ambient_dim != ambient.dim:
         raise DimensionMismatch("b_image does not live on the window")
-    current = b_image
+    rows = b_image.constraints().a
     while True:
-        nxt = current
-        for m in mats:
-            nxt = nxt.intersect(map_image(m, current))
-            nxt = nxt.intersect(map_preimage(m, current))
-        if nxt == current:
-            return current
-        assert nxt.dim < current.dim
-        current = nxt
+        before = rows.shape[0]
+        for m in mats:  # one generator at a time keeps the stack at 2 * rank rows
+            red = rref(FpMatrix(ambient.p, np.vstack([rows, rows @ m.a])))
+            rows = red.matrix.a[: red.rank]
+        if rows.shape[0] == before:
+            return kernel(FpMatrix(ambient.p, rows))
 
 
 @dataclass(frozen=True)
@@ -152,16 +155,6 @@ class InvariantChain:
         }
 
 
-def _shell_image(w: LatticeWindow) -> Subspace:
-    """Image of the exponent >= 1 part of the lattice (t times the lattice)."""
-    rows = []
-    eye = np.eye(w.dim, dtype=np.int64)
-    for c in range(1, w.d + 1):
-        for e in range(max(w.lo, 1), w.hi):
-            rows.append(eye[w.index(c, e)])
-    return Subspace.from_rows(w.p, w.dim, rows)
-
-
 def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     """Compute M̂_ell for ell = 0..l_max and certify the chain structure.
 
@@ -172,7 +165,7 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     b_img = window_b_image(w)
-    t_b_img = _shell_image(w)
+    t_b_img = window_b_image(w, floor=1)
     subs: list[Subspace] = []
     for ell in range(l_max + 1):
         mats = [m for _, m in generator_matrices(a, ell, w)]

@@ -31,10 +31,11 @@ from .errors import (
     DimensionMismatch,
     ExponentOverflow,
     InsufficientPrecision,
+    LimitExceeded,
     OutsideWindow,
     SeriesParseError,
 )
-from .linalg import check_prime
+from .linalg import MAX_DIM, check_prime
 
 # Dense storage bound: exponents and precision spans beyond this are
 # refused rather than allocated.
@@ -435,8 +436,8 @@ class LatticeWindow:
             raise DimensionMismatch(f"empty window [{self.lo}, {self.hi})")
         if self.d < 1:
             raise DimensionMismatch("window needs at least one component")
-        if self.dim > 512:
-            raise DimensionMismatch(f"window dimension {self.dim} beyond 512")
+        if self.dim > MAX_DIM:
+            raise LimitExceeded(f"window dimension {self.dim} beyond {MAX_DIM}")
 
     @property
     def width(self) -> int:

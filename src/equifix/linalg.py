@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidQuotient
+from .errors import DimensionMismatch, InvalidQuotient, LimitExceeded
 
 MAX_PRIME = 97
 MAX_DIM = 512
@@ -53,7 +53,7 @@ class FpMatrix:
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
         if max(a.shape, default=0) > MAX_DIM:
-            raise DimensionMismatch(f"matrix dimension beyond {MAX_DIM}: {a.shape}")
+            raise LimitExceeded(f"matrix dimension beyond {MAX_DIM}: {a.shape}")
         a = a % p
         a.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -222,7 +222,7 @@ class Subspace:
     def from_rows(cls, p: int, ambient_dim: int, rows) -> "Subspace":
         """Canonicalize arbitrary spanning rows into a Subspace."""
         if ambient_dim > MAX_DIM:
-            raise DimensionMismatch(f"ambient dimension beyond {MAX_DIM}")
+            raise LimitExceeded(f"ambient dimension beyond {MAX_DIM}")
         mat = np.array(rows, dtype=np.int64)
         if mat.size == 0:  # reshape(-1, 0) is ambiguous for numpy
             mat = mat.reshape(0, ambient_dim)

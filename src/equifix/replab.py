@@ -20,7 +20,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChainInvariantViolation, DimensionMismatch, NonCommuting, NotOrderP
+from .errors import (
+    ChainInvariantViolation,
+    DimensionMismatch,
+    LimitExceeded,
+    NonCommuting,
+    NotOrderP,
+)
 from .linalg import (
     FpMatrix,
     QuotientSpace,
@@ -45,7 +51,7 @@ class FiniteRep:
         check_prime(p)
         gens = tuple(generators)
         if len(gens) > self.MAX_GENERATORS:
-            raise DimensionMismatch(
+            raise LimitExceeded(
                 f"{len(gens)} generators exceeds the cap of {self.MAX_GENERATORS}"
             )
         for g in gens:

@@ -160,6 +160,19 @@ def test_validate_oracle_flag(tmp_path, capsys):
 
 # ---------------------------------------------------------------- bad input
 
+# Configs the strict check rejects, with the key the message must name.
+STRICT_CONFIG_CASES = [
+    ("p: 2\nd: 2\nseed: []\nlmax: 9\n", "lmax"),  # unknown top-level key
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], out: [2, 0], coef: 1}\n", "coef"),  # unknown tap key
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: 1.7}\n", "coeff"),
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, '0'], out: [2, 0], coeff: 1}\n", "in"),
+    ("p: 2.0\nd: 2\nseed: []\n", "p"),
+    ("p: 2\nd: 2\nseed: []\nl_max: '3'\n", "l_max"),
+    ("p: 2\nd: true\nseed: []\n", "d"),
+    ("p: 2\nd: 2\nseed: []\nwindow: [-1.5, 3]\n", "window"),
+    ("p: 2\nd: 2\nseed: 5\n", "seed"),
+]
+
 
 @pytest.mark.parametrize(
     "text",
@@ -168,6 +181,7 @@ def test_validate_oracle_flag(tmp_path, capsys):
         "p: 2\nd: 2\nseed:\n  - {in: [1], out: [2, 0], coeff: 1}\n",  # short pair
         "p: 4\nd: 2\nseed: []\n",  # modulus not prime
         "p: 2\nd: 2\nseed: []\nwindow: [3, 1]\n",  # inverted window
+        *(text for text, _ in STRICT_CONFIG_CASES),
     ],
 )
 def test_malformed_config_contents_exit_one(tmp_path, capsys, text):
@@ -180,6 +194,16 @@ def test_malformed_config_contents_exit_one(tmp_path, capsys, text):
     report = load_report(rpt)
     assert report["status"] == "validation-failure"
     assert report["reason"] == "parse-error"
+
+
+@pytest.mark.parametrize("text,key", STRICT_CONFIG_CASES)
+def test_strict_config_message_names_the_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rpt = tmp_path / "bad.json"
+    code, _, _ = run(capsys, "find-fixed", "--config", str(cfg), "--json", str(rpt))
+    assert code == 1
+    assert f"'{key}'" in load_report(rpt)["result"]["message"]
 
 
 def test_unreadable_config_exits_three(tmp_path, capsys):
@@ -338,6 +362,34 @@ def test_lemma_check_without_quotient_room_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert load_report(rpt)["reason"] == "window-too-narrow"
+
+
+def test_too_many_lemma_generators_is_limit_exceeded(tmp_path, capsys):
+    cfg = family_config(tmp_path, capsys, "chain-3")
+    rpt = tmp_path / "lemma-cap.json"
+    code, _, err = run(
+        capsys,
+        "lemma-check", "--config", str(cfg), "--n-max", "7", "--precision", "10",
+        "--json", str(rpt),
+    )
+    assert code == 1
+    assert "limit-exceeded" in err and "cap of 6" in err
+    report = load_report(rpt)
+    assert report["status"] == "validation-failure"
+    assert report["reason"] == "limit-exceeded"
+
+
+def test_window_beyond_dimension_cap_is_limit_exceeded(tmp_path, capsys):
+    cfg = family_config(tmp_path, capsys, "tap")
+    rpt = tmp_path / "huge.json"
+    code, _, err = run(
+        capsys, "find-fixed", "--config", str(cfg), "--window=-300:300", "--json", str(rpt)
+    )
+    assert code == 1
+    assert "limit-exceeded" in err and "beyond 512" in err
+    report = load_report(rpt)
+    assert report["status"] == "validation-failure"
+    assert report["reason"] == "limit-exceeded"
 
 
 # ---------------------------------------------------------------- params

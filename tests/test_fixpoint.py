@@ -18,6 +18,7 @@ from equifix.action import ActionSpec, apply_phi, build_action, random_valid_act
 from equifix.action import generator_matrices
 from equifix.errors import (
     ChainInvariantViolation,
+    DimensionMismatch,
     EmptyFixedSpace,
     SingularGenerator,
     WindowTooNarrow,
@@ -37,7 +38,7 @@ from equifix.fixpoint import (
     window_b_image,
 )
 from equifix.laurent import LatticeWindow, format_vector, parse_series
-from equifix.linalg import FpMatrix, Subspace, map_image
+from equifix.linalg import FpMatrix, Subspace, inverse, map_image, map_preimage
 from equifix.oracle import brute_max_invariant
 from equifix.replab import dichotomy_probe
 from equifix.taps import SparsePerturbation, TapEntry
@@ -75,6 +76,13 @@ def test_window_b_image_spans_nonnegative_exponents():
 def test_window_b_image_with_positive_floor():
     w = LatticeWindow(1, 3, d=1, p=2)
     assert window_b_image(w) == Subspace.full(2, w.dim)
+
+
+def test_window_b_image_floor_one_is_t_times_lattice():
+    for w in (LatticeWindow(-2, 3, d=2, p=3), LatticeWindow(0, 4, d=3, p=2)):
+        t_b = map_image(shift_matrix(w), window_b_image(w))
+        assert window_b_image(w, floor=1) == t_b
+        assert window_b_image(w, floor=1).dim == w.d * (w.hi - 1)
 
 
 def test_monomial_transfer_shifts_exponents():
@@ -171,6 +179,87 @@ def test_max_invariant_is_generator_order_independent():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert max_invariant_subspace(shuffled, w, b) == base
+
+
+def reference_max_invariant(gens, b_image):
+    """Greatest fixed point of N -> N ∩ ⋂_g (g*N ∩ g⁻¹*N) from b_image,
+    taken against the N of the previous round, built from the public
+    image, preimage and intersection maps only."""
+    current = b_image
+    while True:
+        nxt = current
+        for m in gens:
+            nxt = nxt.intersect(map_image(m, current)).intersect(map_preimage(m, current))
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def test_max_invariant_matches_image_preimage_fixpoint_on_random_actions():
+    rng = random.Random(472)
+    checked = 0
+    while checked < 12:
+        p = rng.choice([2, 3, 5])
+        a = random_valid_action(rng, p, rng.randint(2, 3))
+        ell = rng.randint(1, 3)
+        w = default_window(a, rng.randint(2, 4), ell)
+        if w.dim > 30:
+            continue
+        gens = [m for _, m in generator_matrices(a, ell, w)]
+        b = window_b_image(w)
+        assert max_invariant_subspace(gens, w, b) == reference_max_invariant(gens, b)
+        checked += 1
+
+
+def _random_invertible(rng, p, n):
+    while True:
+        m = FpMatrix(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        try:
+            return m, inverse(m)
+        except DimensionMismatch:
+            continue
+
+
+def test_max_invariant_matches_fixpoint_for_general_invertible_generators():
+    """Invertible generators that are not all unipotent: block
+    upper-triangular in a random basis, so a known subspace is invariant
+    and the answer is nontrivial.  b_image adds a Krylov segment
+    x, g*x, ..., g^j*x of the first generator, which takes several
+    sweeps of the closure to cut away."""
+    rng = random.Random(473)
+    for trial in range(16):
+        p = [2, 3, 5][trial % 3]
+        n = rng.randint(6, 30)
+        k = rng.randint(1, n - 1)
+        basis, basis_inv = _random_invertible(rng, p, n)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            top, _ = _random_invertible(rng, p, k)
+            bottom, _ = _random_invertible(rng, p, n - k)
+            block = np.zeros((n, n), dtype=np.int64)
+            block[:k, :k] = top.a
+            block[k:, k:] = bottom.a
+            block[:k, k:] = [[rng.randrange(p) for _ in range(n - k)] for _ in range(k)]
+            gens.append(basis @ FpMatrix(p, block) @ basis_inv)
+        ident = FpMatrix.identity(p, n)
+        assert any((g - ident) ** n != FpMatrix.zeros(p, n, n) for g in gens)
+        w = LatticeWindow(0, n, d=1, p=p)
+        invariant = basis.a.T[:k]  # rows: images of the first k basis vectors
+        noise = [np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)]
+        for _ in range(rng.randint(0, 4)):
+            noise.append(gens[0].apply(noise[-1]))
+        b = Subspace.from_rows(p, n, [*invariant, *noise])
+        result = max_invariant_subspace(gens, w, b)
+        assert result == reference_max_invariant(gens, b)
+        assert result.contains(Subspace.from_rows(p, n, invariant))
+
+
+def test_find_fixed_point_dropping_tap_on_a_sixty_dim_window():
+    a = mk_action(*DROP)
+    chain, cert = find_fixed_point(a, 16, 12)
+    assert chain.window.dim == 60
+    assert chain.dims() == [33] * 13
+    assert cert.ok
 
 
 # ---------------------------------------------------------------- chains
