@@ -45,6 +45,7 @@ from .fixpoint import (
     find_fixed_point,
     lemma_chain_from_action,
     m_ell_chain,
+    widen_window,
     window_b_image,
 )
 from .laurent import LatticeWindow, format_vector, random_series, random_vector
@@ -376,10 +377,34 @@ def _classify(exc: EquifixError) -> tuple[int, str, str]:
     raise exc
 
 
-def _fail(args, command, action_dict, params_dict, exc) -> int:
+def _policy_suggestion(action: Action, params: dict, tried: dict | None) -> str | None:
+    """Retry window for a soft failure that names none: the window tried
+    joined with the policy window, or the tried window widened when the
+    join adds nothing.  No window tried means find_fixed_point's own
+    retry, which runs on the widened policy window."""
+    try:
+        policy = default_window(action, params["precision"], params["l_max"],
+                                n_max=params.get("n_max", 0))
+        if tried is None:
+            w = widen_window(policy)
+        else:
+            w = LatticeWindow(tried["lo"], tried["hi"], action.d, action.p)
+        retry = LatticeWindow(min(w.lo, policy.lo), max(w.hi, policy.hi), action.d, action.p)
+        if retry == w:
+            retry = widen_window(w)
+    except LimitExceeded:  # no window under the dimension cap to suggest
+        return None
+    return f"retry with window [{retry.lo},{retry.hi})"
+
+
+def _fail(args, command, action_dict, params_dict, exc, action=None, params=None) -> int:
+    """Emit the failure report.  Given the action and the run's params, a
+    soft failure without a suggestion of its own gets the policy's."""
     code, status, reason = _classify(exc)
     result = {"message": str(exc)}
     suggestion = getattr(exc, "suggestion", None)
+    if not suggestion and code == 2 and action is not None:
+        suggestion = _policy_suggestion(action, params, params_dict["window"])
     if suggestion:
         result["suggestion"] = suggestion
     witness_power = getattr(exc, "witness_power", None)
@@ -516,7 +541,7 @@ def cmd_find_fixed(args) -> int:
         report_params = _params_for_report(params, window)
         chain, cert = find_fixed_point(action, precision, l_max, window)
     except EquifixError as exc:
-        return _fail(args, "find-fixed", action_dict, report_params, exc)
+        return _fail(args, "find-fixed", action_dict, report_params, exc, action, params)
     b_dim = window_b_image(chain.window).dim
     result = {
         "chain": chain.to_dict(),
@@ -566,7 +591,7 @@ def cmd_invariant_chain(args) -> int:
         report_params = _params_for_report(params, w)
         chain = m_ell_chain(action, l_max, w)
     except EquifixError as exc:
-        return _fail(args, "invariant-chain", action_dict, report_params, exc)
+        return _fail(args, "invariant-chain", action_dict, report_params, exc, action, params)
     rows = [
         {"ell": i, "dim": s.dim, "meets_shell": True, "nested": True}
         for i, s in enumerate(chain.subspaces)
@@ -604,7 +629,7 @@ def cmd_lemma_check(args) -> int:
         lemma = lemma_chain_from_action(action, chain, n_max)
         probe = dichotomy_probe(lemma.rep, lemma.nested)
     except EquifixError as exc:
-        return _fail(args, "lemma-check", action_dict, report_params, exc)
+        return _fail(args, "lemma-check", action_dict, report_params, exc, action, params)
     result = {"lemma": lemma.to_dict(), "probe": probe.to_dict()}
     human = [
         "quotient dim {} on window [{}, {}); {} acting generator(s)".format(

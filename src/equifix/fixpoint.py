@@ -2,12 +2,15 @@
 
 The pipeline realized here, all in exact window coordinates:
 
-  1. For each depth ell, close the constraint rows of the lattice image
-     under right multiplication by every visible generator (the spin-up
-     of max_invariant_subspace); the kernel of the closure is the
-     largest subspace of the lattice image that every generator maps
-     onto itself.  The members form a descending chain whose
-     intersection m_hat is stable under multiplication by t.
+  1. Close the constraint rows of the lattice image under right
+     multiplication by the visible generators, in one spin-up that
+     lives for the whole chain: depth 0 adds g_0 .. g_{T-1}, depth ell
+     adds only g_{-ell}, and M̂_ell is the kernel of the closed row
+     space after depth ell, the largest subspace of the lattice image
+     that every generator up to that depth maps onto itself.  The
+     closure never stacks more rows than the window dimension.  The
+     members form a descending chain whose intersection m_hat is stable
+     under multiplication by t.
   2. Intersect the window fixed space with m_hat, pick a deterministic
      nonzero witness (preferring one outside t*m_hat), and re-verify it
      from scratch by applying the action to the lifted series vector.
@@ -91,35 +94,81 @@ def shift_matrix(w: LatticeWindow) -> FpMatrix:
     return monomial_transfer(w, w, 1)
 
 
+class _SpinUp:
+    """Smallest row space R containing every row added, with R*g ⊆ R for
+    every generator added; R is kept as canonical RREF rows.
+
+    The closure is semi-naive: a generator entering multiplies the rows
+    already in R once, and each block of rows entering R is multiplied
+    once by every generator added so far, so no product is formed twice
+    and each generator is validated once, when it enters.  Images are
+    reduced against R before they are merged, so the merged rows are
+    independent of R and no matrix formed here exceeds n = w.dim rows.
+    """
+
+    def __init__(self, w: LatticeWindow):
+        self.w = w
+        self.rows = np.zeros((0, w.dim), dtype=np.int64)
+        self.pivots: list[int] = []
+        self.gens: list[np.ndarray] = []
+
+    def add_generator(self, m: FpMatrix) -> None:
+        if m.p != self.w.p or m.shape != (self.w.dim, self.w.dim):
+            raise DimensionMismatch("generator does not act on the window")
+        if rref(m).rank != self.w.dim:
+            raise SingularGenerator("generator is singular on the window")
+        self.gens.append(m.a)
+        self._close(self.rows, [m.a])
+
+    def add_rows(self, rows: np.ndarray) -> None:
+        self._close(self._absorb(rows), self.gens)
+
+    def kernel(self) -> Subspace:
+        return kernel(FpMatrix(self.w.p, self.rows))
+
+    def _close(self, block: np.ndarray, gens: list[np.ndarray]) -> None:
+        work = [(block, gens)]
+        while work:
+            block, gens = work.pop()
+            for g in gens:
+                new = self._absorb(block @ g % self.w.p)
+                if new.shape[0]:
+                    work.append((new, self.gens))
+
+    def _absorb(self, vecs: np.ndarray) -> np.ndarray:
+        """Merge the span of vecs into R; return the RREF rows it added."""
+        p = self.w.p
+        if self.pivots:  # R is fully reduced: one product clears its pivots
+            vecs = (vecs - vecs[:, self.pivots] @ self.rows) % p
+        vecs = vecs[vecs.any(axis=1)]
+        if not vecs.shape[0]:
+            return vecs
+        red = rref(FpMatrix(p, vecs))
+        new = red.matrix.a[: red.rank]
+        merged = rref(FpMatrix(p, np.vstack([self.rows, new])))
+        self.rows = merged.matrix.a[: merged.rank]
+        self.pivots = list(merged.pivots)
+        return new
+
+
 def max_invariant_subspace(gens, ambient: LatticeWindow, b_image: Subspace) -> Subspace:
     """Largest subspace N of b_image with g*N = N for every generator.
 
-    Spin-up: starting from the constraint rows C of b_image, replace the
-    row space R by R + R*g for each generator in turn, sweeping until a
-    sweep adds no rank, and return the kernel of R.  R is then the
-    smallest row space containing C with R*g ⊆ R for every g, so its
-    kernel N satisfies g*N ⊆ N, hence g*N = N since g is invertible,
-    and lies inside b_image.  Any N' ⊆ b_image with g*N' = N' for all g
-    has C*h*N' = 0 for every word h in the generators, so N' ⊆ N.  The
+    Spin-up: R is the smallest row space containing the constraint rows
+    C of b_image with R*g ⊆ R for every generator, and N is the kernel
+    of R.  Then g*N ⊆ N, hence g*N = N since g is invertible, and N lies
+    inside b_image.  Any N' ⊆ b_image with g*N' = N' for all g has
+    C*h*N' = 0 for every word h in the generators, so N' ⊆ N.  The
     result is therefore correct for any invertible generators and
     independent of their order.
     """
-    mats = list(gens)
-    for m in mats:
-        if m.p != ambient.p or m.shape != (ambient.dim, ambient.dim):
-            raise DimensionMismatch("generator does not act on the window")
-        if rref(m).rank != ambient.dim:
-            raise SingularGenerator("generator is singular on the window")
+    spin = _SpinUp(ambient)
+    for m in gens:
+        spin.add_generator(m)
     if b_image.p != ambient.p or b_image.ambient_dim != ambient.dim:
         raise DimensionMismatch("b_image does not live on the window")
-    rows = b_image.constraints().a
-    while True:
-        before = rows.shape[0]
-        for m in mats:  # one generator at a time keeps the stack at 2 * rank rows
-            red = rref(FpMatrix(ambient.p, np.vstack([rows, rows @ m.a])))
-            rows = red.matrix.a[: red.rank]
-        if rows.shape[0] == before:
-            return kernel(FpMatrix(ambient.p, rows))
+    spin.add_rows(b_image.constraints().a)
+    return spin.kernel()
 
 
 @dataclass(frozen=True)
@@ -158,6 +207,9 @@ class InvariantChain:
 def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     """Compute M̂_ell for ell = 0..l_max and certify the chain structure.
 
+    One spin-up serves every depth (see max_invariant_subspace for why
+    its kernel is M̂_ell), so each generator is checked and applied once.
+
     Raises ChainInvariantViolation if nesting, shell intersection, or
     t-stability of the intersection fails — for certified actions these
     hold, so a failure signals a bug (or a window far too narrow).
@@ -166,10 +218,17 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         raise ValueError("l_max must be >= 0")
     b_img = window_b_image(w)
     t_b_img = window_b_image(w, floor=1)
+    spin = _SpinUp(w)
+    spin.add_rows(b_img.constraints().a)
     subs: list[Subspace] = []
     for ell in range(l_max + 1):
-        mats = [m for _, m in generator_matrices(a, ell, w)]
-        sub = max_invariant_subspace(mats, w, b_img)
+        # The generator list runs k = -ell .. T-1: after depth 0 only its
+        # first entry, g_{-ell}, is new.  It is rebuilt at every depth so
+        # that a window too narrow for g_{-ell} fails at that depth.
+        for k, m in generator_matrices(a, ell, w):
+            if ell == 0 or k == -ell:
+                spin.add_generator(m)
+        sub = spin.kernel()
         if not b_img.contains(sub):
             raise ChainInvariantViolation("member escapes the lattice image")
         if t_b_img.contains(sub):
@@ -378,11 +437,12 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
 
 def default_window(a: Action, precision: int, l_max: int, n_max: int = 0) -> LatticeWindow:
     """Window sizing policy: floor covers the generator depth, top covers
-    the requested precision, both padded by the seed's drop."""
+    the requested precision and the n_max downward shifts of the lemma
+    chain (which needs a top above n_max), both padded by the seed's drop."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
     depth = max(l_max, n_max + a.max_in_exp if n_max else 0)
-    return LatticeWindow(-(depth + a.drop), precision + a.drop, a.d, a.p)
+    return LatticeWindow(-(depth + a.drop), max(precision, n_max + 1) + a.drop, a.d, a.p)
 
 
 def widen_window(w: LatticeWindow) -> LatticeWindow:

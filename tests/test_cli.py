@@ -282,6 +282,22 @@ def test_find_fixed_narrow_window_exits_two(tmp_path, capsys):
     assert report["params"]["window"] == {"lo": 0, "hi": 2}
 
 
+@pytest.mark.parametrize(
+    "name,command,window",
+    [("dropping-tap", "find-fixed", "0:3"), ("tap", "lemma-check", "-1:3")],
+)
+def test_soft_failure_suggests_a_window_that_runs(tmp_path, capsys, name, command, window):
+    cfg = family_config(tmp_path, capsys, name)
+    rpt = tmp_path / "narrow.json"
+    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={window}",
+                       "--json", str(rpt))
+    assert code == 2, err
+    suggestion = load_report(rpt)["result"]["suggestion"]
+    lo, hi = suggestion.removeprefix("retry with window [").removesuffix(")").split(",")
+    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={lo}:{hi}")
+    assert code == 0, (suggestion, err)
+
+
 def test_find_fixed_negative_window_flag(tmp_path, capsys):
     cfg = family_config(tmp_path, capsys, "tap")
     rpt = tmp_path / "wide.json"
@@ -329,6 +345,18 @@ def test_invariant_chain_table(tmp_path, capsys):
     assert "stable from ell = 0" in out
 
 
+def test_invariant_chain_on_a_window_with_codim_beyond_half_the_cap(tmp_path, capsys):
+    cfg = family_config(tmp_path, capsys, "tap")
+    rpt = tmp_path / "deep.json"
+    code, _, err = run(
+        capsys,
+        "invariant-chain", "--config", str(cfg), "--window=-129:1", "--l-max", "0",
+        "--json", str(rpt),
+    )
+    assert code == 0, err
+    assert load_report(rpt)["result"]["chain"]["dims"] == [2]
+
+
 def test_invariant_chain_respects_config_window_key(tmp_path, capsys):
     cfg = tmp_path / "windowed.yaml"
     cfg.write_text("p: 2\nd: 2\nwindow: [0, 3]\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: 1}\n")
@@ -362,6 +390,18 @@ def test_lemma_check_without_quotient_room_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert load_report(rpt)["reason"] == "window-too-narrow"
+
+
+def test_lemma_check_policy_window_hosts_deep_shifts(tmp_path, capsys):
+    cfg = family_config(tmp_path, capsys, "chain-3")  # precision 4 < n_max + 1
+    rpt = tmp_path / "lemma-deep.json"
+    code, _, err = run(
+        capsys, "lemma-check", "--config", str(cfg), "--n-max", "6", "--json", str(rpt)
+    )
+    assert code == 0, err
+    report = load_report(rpt)
+    assert report["result"]["lemma"]["nested_dims"] == [3, 6, 9, 12, 15, 18]
+    assert report["result"]["probe"]["ok"] is True
 
 
 def test_too_many_lemma_generators_is_limit_exceeded(tmp_path, capsys):

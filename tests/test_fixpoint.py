@@ -490,3 +490,64 @@ def test_lemma_nested_chain_is_strict_and_invariant():
         for g in lc.rep.generators:
             assert v.contains(map_image(g, v))
         prev = v
+
+
+# ---------------------------------------------------------------- incremental chain
+
+
+def _assert_members_are_max_invariant(a, l_max, w):
+    """Each chain member equals max_invariant_subspace of its depth's
+    generators, in either order."""
+    chain = m_ell_chain(a, l_max, w)
+    b = window_b_image(w)
+    for ell, sub in enumerate(chain.subspaces):
+        gens = [m for _, m in generator_matrices(a, ell, w)]
+        assert sub == max_invariant_subspace(gens, w, b), ell
+        assert sub == max_invariant_subspace(gens[::-1], w, b), ell
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_chain_members_match_max_invariant_on_bundled_families(name):
+    a = mk_action(*FAMILIES[name], label=name)
+    for precision, l_max in ((4, 3), (8, 6)):
+        _assert_members_are_max_invariant(a, l_max, default_window(a, precision, l_max))
+
+
+def test_chain_members_match_max_invariant_on_random_actions():
+    rng = random.Random(474)
+    for trial in range(15):
+        p = [2, 3, 5][trial % 3]
+        a = random_valid_action(rng, p, rng.randint(2, 3))
+        l_max = rng.randint(1, 4)
+        w = default_window(a, rng.randint(2, 5), l_max)
+        _assert_members_are_max_invariant(a, l_max, w)
+
+
+def test_tap_chain_on_a_window_whose_lattice_image_has_codim_beyond_half_the_cap():
+    # dim 260, codim 258: stacking 2 x codim constraint rows would pass 512.
+    a = mk_action(*TAP)
+    w = LatticeWindow(-129, 1, d=2, p=2)
+    assert window_b_image(w).dim == 2
+    assert m_ell_chain(a, 0, w).dims() == [2]
+
+
+def test_chain_eliminations_stay_within_budget(monkeypatch):
+    """One spin-up per chain: each generator is checked and applied once,
+    so the chain needs far fewer eliminations than a closure restarted
+    at every depth (1102 rref calls here)."""
+    import equifix.fixpoint
+    import equifix.linalg
+
+    real = equifix.linalg.rref
+    calls = []
+
+    def counting_rref(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(equifix.linalg, "rref", counting_rref)
+    monkeypatch.setattr(equifix.fixpoint, "rref", counting_rref)
+    a = mk_action(*DROP)
+    chain = m_ell_chain(a, 12, default_window(a, 16, 12))
+    assert chain.window.dim == 60
+    assert len(calls) <= 300
