@@ -38,6 +38,7 @@ from .errors import (
     EmptyFixedSpace,
     InsufficientPrecision,
     InvalidQuotient,
+    LimitExceeded,
     SingularGenerator,
     WindowTooNarrow,
 )
@@ -259,21 +260,37 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None):
     every tap write that lands below t^hi — including below the window
     floor — the written coefficient (a sum of in-window reads) must
     vanish.  Returns the pair (F, F ∩ m_hat); with no m_hat the second
-    component is F itself.
+    component is F itself.  F ∩ m_hat is solved in m_hat's coordinates:
+    c*K with K the basis of m_hat lies in F iff rows*K^T*c = 0, so no
+    matrix formed exceeds max(#rows, w.dim) on a side.
     """
     rows = fixed_condition_rows(a, w)
-    if rows:
-        f = kernel(FpMatrix(w.p, np.array(rows, dtype=np.int64)))
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), w.dim)
+    if rows.shape[0]:
+        f = kernel(FpMatrix(w.p, rows))
     else:
         f = Subspace.full(w.p, w.dim)
-    meet = f.intersect(m_hat) if m_hat is not None else f
-    return f, meet
+    if m_hat is None:
+        return f, f
+    k = m_hat.basis.a
+    coeffs = kernel(FpMatrix(w.p, rows @ k.T)).basis.a
+    return f, Subspace.from_rows(w.p, w.dim, coeffs @ k)
 
 
 def _coord_valuation(row: np.ndarray, w: LatticeWindow) -> int:
     """Lowest exponent carrying a nonzero coordinate (any component)."""
     exps = [w.lo + (i % w.width) for i in np.nonzero(row)[0]]
     return min(exps)
+
+
+def _retry_suggestion(w: LatticeWindow, tail: str = "") -> str | None:
+    """Suggest the widened window, or nothing when it is beyond the
+    dimension cap (the CLI then suggests a join with the policy window)."""
+    try:
+        wider = widen_window(w)
+    except LimitExceeded:
+        return None
+    return f"retry with window [{wider.lo},{wider.hi}){tail}"
 
 
 @dataclass(frozen=True)
@@ -321,17 +338,15 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
     w = chain.window
     n = precision if precision is not None else w.hi - a.drop
     if n < 1 or n > w.hi:
-        wider = widen_window(w)
         raise WindowTooNarrow(
             f"precision {n} not representable on window [{w.lo},{w.hi})",
-            suggestion=f"retry with window [{wider.lo},{wider.hi})",
+            suggestion=_retry_suggestion(w),
         )
     _, meet = fixed_vectors(a, w, chain.m_hat)
     if meet.dim == 0:
-        wider = widen_window(w)
         raise EmptyFixedSpace(
             f"no nonzero fixed vectors inside m_hat on window [{w.lo},{w.hi})",
-            suggestion=f"retry with window [{wider.lo},{wider.hi}) or larger l_max",
+            suggestion=_retry_suggestion(w, " or larger l_max"),
         )
     t_m_hat = map_image(shift_matrix(w), chain.m_hat)
     rows = list(meet.basis.a)
@@ -341,10 +356,9 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
     lifted = coords_to_vector(pick, w)
     witness = lifted.truncate(n)
     if witness.is_zero:
-        wider = widen_window(w)
         raise EmptyFixedSpace(
             f"every fixed vector found vanishes mod t^{n}",
-            suggestion=f"retry with window [{wider.lo},{wider.hi})",
+            suggestion=_retry_suggestion(w),
         )
     checks = []
     if not a.seed.is_zero:

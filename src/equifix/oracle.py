@@ -3,8 +3,24 @@
 Everything here recomputes answers the cheap way — enumerating vectors
 or subspaces outright — so the production routines (fixed_space,
 max_invariant_subspace) can be validated against code that shares no
-logic with them.  Budgets keep the enumerations from silently eating
-hours; exceeding one raises BudgetExceeded rather than degrading.
+logic with them.  Nothing here eliminates: every result is built from
+matrix products and read off by inspection, so no call reaches `rref`.
+
+  * brute_fixed keeps the vectors every generator fixes and reads the
+    canonical basis off that set: its pivots are the leading positions
+    of its members, and row i is the unique member whose pivot
+    coordinates are e_i.
+  * brute_max_invariant enumerates only the subspaces of the ambient.
+    For each RREF coefficient matrix C (k x m) and the ambient's RREF
+    basis B (m x n), C·B is again RREF, with pivots pivB[pivC], so it is
+    the canonical basis of its span and distinct C give distinct
+    subspaces.  A vector v lies in the row span of an RREF basis b with
+    pivots piv iff v - v[piv]·b = 0, which tests invariance and
+    maximality.
+
+Budgets keep the enumerations from silently eating hours; exceeding one
+raises BudgetExceeded rather than degrading.  The subspace budget counts
+what is enumerated: the subspaces of the ambient.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch
-from .linalg import FpMatrix, Subspace, map_image
+from .linalg import FpMatrix, Subspace
 
 
 @dataclass(frozen=True)
@@ -44,21 +60,46 @@ def _all_vectors(p: int, dim: int, budget: EnumerationBudget) -> np.ndarray:
     return np.zeros((1, 0), dtype=np.int64)
 
 
-def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAULT_BUDGET) -> Subspace:
-    """Common fixed vectors of the generators, by checking every vector."""
-    vs = _all_vectors(p, dim, budget)
-    mask = np.ones(len(vs), dtype=bool)
+def _generator_arrays(p: int, dim: int, generators) -> list[np.ndarray]:
+    arrays = []
     for g in generators:
         if g.p != p or g.shape != (dim, dim):
             raise DimensionMismatch("generator does not act on F_p^dim")
-        mask &= ((vs @ g.a.T) % p == vs).all(axis=1)
+        arrays.append(g.a)
+    return arrays
+
+
+def _leading(rows: np.ndarray) -> np.ndarray:
+    """Column of the first nonzero entry of each (nonzero) row."""
+    if not rows.size:  # argmax refuses a (0, 0) array
+        return np.zeros(len(rows), dtype=np.int64)
+    return (rows != 0).argmax(axis=1)
+
+
+def _in_span(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> bool:
+    """Whether every row of vecs lies in the row span of the RREF basis."""
+    return not ((vecs - vecs[:, pivots] @ basis) % p).any()
+
+
+def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAULT_BUDGET) -> Subspace:
+    """Common fixed vectors of the generators, by checking every vector.
+
+    The canonical basis is read off the fixed set: the pivots are the
+    leading positions of its nonzero members, and row i is the member
+    whose pivot coordinates are e_i (unique, since a member is fixed by
+    its pivot coordinates).
+    """
+    vs = _all_vectors(p, dim, budget)
+    gens = _generator_arrays(p, dim, generators)
+    mask = np.ones(len(vs), dtype=bool)
+    for g in gens:
+        mask &= ((vs @ g.T) % p == vs).all(axis=1)
     picked = vs[mask]
-    # The survivors form a subspace, so folding them in row-cap-sized
-    # chunks loses nothing and keeps each rref inside the matrix limits.
-    result = Subspace.zero(p, dim)
-    for at in range(0, len(picked), 256):
-        result = result.sum(Subspace.from_rows(p, dim, picked[at : at + 256]))
-    return result
+    picked = picked[picked.any(axis=1)]
+    pivots = np.unique(_leading(picked))
+    unit = np.eye(len(pivots), dtype=np.int64)
+    rows = [picked[(picked[:, pivots] == e).all(axis=1)][0] for e in unit]
+    return Subspace(p, dim, FpMatrix(p, np.array(rows, dtype=np.int64).reshape(len(pivots), dim)))
 
 
 def count_subspaces(p: int, dim: int, k: int) -> int:
@@ -85,7 +126,7 @@ def enumerate_subspaces(p: int, dim: int, budget: EnumerationBudget = DEFAULT_BU
     total = sum(count_subspaces(p, dim, k) for k in range(dim + 1))
     if total > budget.max_subspaces:
         raise BudgetExceeded(f"{total} subspaces exceeds budget {budget.max_subspaces}")
-    yield Subspace.zero(p, dim)
+    yield Subspace(p, dim, FpMatrix(p, np.zeros((0, dim), dtype=np.int64)))
     for k in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), k):
             # Free positions: to the right of each pivot, skipping later
@@ -117,22 +158,34 @@ def brute_max_invariant(
 ) -> Subspace:
     """Largest subspace of `ambient` mapped into itself by every generator.
 
-    Walks all subspaces, keeps the invariant ones inside `ambient`, and
-    returns the one of top dimension — verifying along the way that it
-    contains every other invariant subspace found (the maximum is a
-    union, so this must hold; a failure means a bug in the caller's
-    premises, and raises).
+    Walks the subspaces of the ambient as C·B, for every RREF coefficient
+    matrix C from enumerate_subspaces(p, ambient.dim) and the ambient's
+    RREF basis B; C·B is RREF with pivots pivB[pivC], so it is canonical
+    without elimination.  A subspace b with pivots piv is invariant when
+    the images `imgs` of its rows under every generator satisfy
+    imgs - imgs[:, piv]·b = 0 (mod p).  Returns the invariant subspace of
+    top dimension, verifying along the way that it contains every other
+    invariant subspace found (the maximum is a sum, so this must hold; a
+    failure means a bug in the caller's premises, and raises).  The
+    budget counts the ambient's subspaces, the ones enumerated.
     """
+    gens = _generator_arrays(p, dim, generators)
     if ambient is None:
-        ambient = Subspace.full(p, dim)
-    invariant: list[Subspace] = []
-    for s in enumerate_subspaces(p, dim, budget):
-        if not ambient.contains(s):
-            continue
-        if all(s.contains(map_image(g, s)) for g in generators):
-            invariant.append(s)
-    best = max(invariant, key=lambda s: s.dim)
-    for s in invariant:
-        if not best.contains(s):
+        ambient = Subspace(p, dim, FpMatrix(p, np.eye(dim, dtype=np.int64)))
+    elif ambient.p != p or ambient.ambient_dim != dim:
+        raise DimensionMismatch("ambient does not live in F_p^dim")
+    span = ambient.basis.a
+    # Row i of b @ act holds the images of b's row i under every generator.
+    act = np.hstack([g.T for g in gens]) if gens else np.zeros((dim, 0), dtype=np.int64)
+    invariant: list[np.ndarray] = []
+    for c in enumerate_subspaces(p, ambient.dim, budget):
+        b = c.basis.a @ span % p
+        imgs = (b @ act).reshape(len(b) * len(gens), dim)
+        if _in_span(imgs, b, _leading(b), p):
+            invariant.append(b)
+    best = max(invariant, key=len)
+    best_pivots = _leading(best)
+    for b in invariant:
+        if not _in_span(b, best, best_pivots, p):
             raise AssertionError("invariant subspaces are not closed under sum here")
-    return best
+    return Subspace(p, dim, FpMatrix(p, best))

@@ -298,6 +298,23 @@ def test_soft_failure_suggests_a_window_that_runs(tmp_path, capsys, name, comman
     assert code == 0, (suggestion, err)
 
 
+def test_soft_failure_beside_the_dimension_cap_keeps_its_reason(tmp_path, capsys):
+    # Widening [-129,1) passes the 512 cap; the suggestion is the join
+    # with the policy window instead, and the failure stays soft.
+    cfg = family_config(tmp_path, capsys, "tap")
+    rpt = tmp_path / "narrow.json"
+    code, _, err = run(capsys, "find-fixed", "--config", str(cfg), "--window=-129:1",
+                       "--l-max", "0", "--json", str(rpt))
+    assert code == 2, err
+    report = load_report(rpt)
+    assert report["reason"] == "window-too-narrow"
+    suggestion = report["result"]["suggestion"]
+    assert suggestion == "retry with window [-129,4)"
+    code, _, err = run(capsys, "find-fixed", "--config", str(cfg), "--window=-129:4",
+                       "--l-max", "0")
+    assert code == 0, err
+
+
 def test_find_fixed_negative_window_flag(tmp_path, capsys):
     cfg = family_config(tmp_path, capsys, "tap")
     rpt = tmp_path / "wide.json"
@@ -323,8 +340,15 @@ def test_find_fixed_oracle_verdicts(tmp_path, capsys):
     code, out, _ = run(
         capsys, "find-fixed", "--config", str(cfg), "--json", str(big), "--oracle"
     )
+    assert code == 0  # 417,199 subspaces of the 8-dim lattice image: checked
+    assert load_report(big)["result"]["oracle"]["m_hat_check"] == "match"
+    drop = family_config(tmp_path, capsys, "dropping-tap")
+    huge = tmp_path / "huge.json"
+    code, out, _ = run(
+        capsys, "find-fixed", "--config", str(drop), "--json", str(huge), "--oracle"
+    )
     assert code == 0  # too large to enumerate: honest skip, not a guess
-    assert load_report(big)["result"]["oracle"]["m_hat_check"] == "skipped-budget"
+    assert load_report(huge)["result"]["oracle"]["m_hat_check"] == "skipped-budget"
 
 
 # ---------------------------------------------------------------- chain/lemma

@@ -357,6 +357,30 @@ def test_fixed_vectors_meet_respects_supplied_m_hat():
     assert meet == tiny
 
 
+def test_fixed_vectors_meet_matches_intersect_on_random_chains():
+    rng = random.Random(476)
+    for trial in range(30):
+        p = [2, 3, 5][trial % 3]
+        a = random_valid_action(rng, p, rng.randint(2, 3))
+        l_max = rng.randint(1, 4)
+        w = default_window(a, rng.randint(2, 5), l_max)
+        chain = m_ell_chain(a, l_max, w)
+        for m_hat in chain.subspaces + (window_b_image(w, floor=1),):
+            f, meet = fixed_vectors(a, w, m_hat)
+            expected = f.intersect(m_hat)
+            assert meet.basis.a.tobytes() == expected.basis.a.tobytes()
+            assert meet == expected
+
+
+def test_fixed_vectors_meet_on_a_window_whose_codims_sum_past_the_cap():
+    # dim 408: F has codim 204 and t^2 * lattice codim 404, so stacking
+    # both sets of constraint rows (608) would pass 512.
+    a = mk_action(*TAP)
+    w = LatticeWindow(-200, 4, d=2, p=2)
+    _, meet = fixed_vectors(a, w, window_b_image(w, floor=2))
+    assert meet.dim == 2
+
+
 # ---------------------------------------------------------------- witnesses
 
 

@@ -16,7 +16,8 @@ import random
 import numpy as np
 import pytest
 
-from equifix.errors import BudgetExceeded
+import equifix.linalg
+from equifix.errors import BudgetExceeded, DimensionMismatch
 from equifix.linalg import FpMatrix, Subspace, map_image
 from equifix.oracle import (
     EnumerationBudget,
@@ -143,3 +144,68 @@ def test_max_invariant_verifies_against_filtered_enumeration():
         ]
         expected = max(invariant, key=lambda s: s.dim)
         assert brute_max_invariant(p, dim, [g], ambient=ambient) == expected
+
+
+# ---------------------------------------------------------------- independence
+
+
+def _refuse_elimination(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the oracle eliminated")
+
+    monkeypatch.setattr(equifix.linalg, "rref", refuse)
+
+
+def test_oracles_run_without_elimination(monkeypatch):
+    a = np.eye(4, dtype=np.int64)
+    a[0, 1] = a[2, 3] = 1
+    g = FpMatrix(2, a)
+    plane = Subspace.from_rows(2, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    full = Subspace.full(2, 4)
+    # g moves e2 to e1 + e2 and fixes e3: only span{e3} survives here.
+    skew = Subspace.from_rows(2, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    h = FpMatrix(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    fixed_line = Subspace.from_rows(3, 3, [[1, 0, 0]])
+    _refuse_elimination(monkeypatch)
+    assert brute_max_invariant(2, 4, [g]) == full
+    assert brute_max_invariant(2, 4, [g], ambient=plane) == plane
+    assert brute_max_invariant(2, 4, [g], ambient=skew).basis.a.tolist() == [[0, 0, 1, 0]]
+    assert brute_fixed(2, 4, [g]) == plane
+    assert brute_fixed(3, 3, [h]) == fixed_line
+    assert brute_fixed(2, 4, []) == full
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [FpMatrix.identity(2, 3), FpMatrix(2, np.eye(4, 3, dtype=np.int64)), FpMatrix.identity(3, 4)],
+    ids=["too-small", "not-square", "wrong-field"],
+)
+def test_oracles_reject_a_generator_off_the_space(gen):
+    with pytest.raises(DimensionMismatch):
+        brute_max_invariant(2, 4, [FpMatrix.identity(2, 4), gen])
+    with pytest.raises(DimensionMismatch):
+        brute_fixed(2, 4, [FpMatrix.identity(2, 4), gen])
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [Subspace.full(2, 3), Subspace.full(3, 4)],
+    ids=["wrong-dimension", "wrong-field"],
+)
+def test_max_invariant_rejects_an_ambient_off_the_space(ambient):
+    with pytest.raises(DimensionMismatch):
+        brute_max_invariant(2, 4, [FpMatrix.identity(2, 4)], ambient=ambient)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 3, 6), (2, 4, 5), (3, 2, 5), (5, 2, 3)])
+def test_coefficients_times_rref_basis_is_canonical(p, k, n):
+    """The oracle's C·B is the canonical basis of its span, for every
+    subspace C of F_p^k and an RREF ambient B of dimension k."""
+    rng = random.Random(462 + 10 * p + k)
+    ambient = Subspace.from_rows(p, n, [])
+    while ambient.dim < k:
+        ambient = Subspace.from_rows(p, n, [[rng.randrange(p) for _ in range(n)] for _ in range(k)])
+    b = ambient.basis.a
+    for c in enumerate_subspaces(p, k):
+        product = c.basis.a @ b % p
+        assert np.array_equal(product, Subspace.from_rows(p, n, product).basis.a)
