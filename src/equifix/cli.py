@@ -50,8 +50,8 @@ from .fixpoint import (
 )
 from .laurent import LatticeWindow, format_vector, random_series, random_vector
 from .linalg import FpMatrix
-from .oracle import brute_max_invariant
-from .replab import dichotomy_probe
+from .oracle import brute_fixed, brute_max_invariant
+from .replab import FiniteRep, dichotomy_probe, fixed_space
 from .taps import SparsePerturbation, TapEntry, induced_matrix
 
 DEFAULT_PRECISION = 4
@@ -91,6 +91,8 @@ _TAP_SCHEMA = {
     "additionalProperties": False,
 }
 
+_ORACLE_VERDICTS = ["match", "mismatch", "skipped-budget"]
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "equifix run report",
@@ -115,7 +117,20 @@ REPORT_SCHEMA = {
             "additionalProperties": False,
         },
         "params": {"type": "object"},
-        "result": {"type": "object"},
+        "result": {
+            "type": "object",
+            "properties": {
+                "oracle": {
+                    "type": "object",
+                    "properties": {
+                        "order_check": {"enum": ["match", "mismatch"]},
+                        "m_hat_check": {"enum": _ORACLE_VERDICTS},
+                        "fixed_space_check": {"enum": _ORACLE_VERDICTS},
+                    },
+                    "additionalProperties": False,
+                },
+            },
+        },
     },
     "additionalProperties": False,
 }
@@ -529,6 +544,27 @@ def _oracle_m_hat_check(action: Action, chain) -> str:
     return "match" if brute == chain.m_hat else "mismatch"
 
 
+def _oracle_fixed_space_check(rep: FiniteRep) -> str:
+    """'match' | 'mismatch' | 'skipped-budget' for the fixed space of rep."""
+    try:
+        brute = brute_fixed(rep.p, rep.dim, rep.generators)
+    except BudgetExceeded:
+        return "skipped-budget"
+    return "match" if brute == fixed_space(rep) else "mismatch"
+
+
+def _oracle_mismatch(args, command, action_dict, report_params, result, human, check, verdict):
+    """Record an oracle verdict in the report; on a mismatch emit the
+    validation failure and return True."""
+    result["oracle"] = {check: verdict}
+    human.append(f"oracle {check.replace('_check', ' check')}: {verdict}")
+    if verdict != "mismatch":
+        return False
+    _emit(args, command, "validation-failure", action_dict, report_params, result,
+          reason="oracle-mismatch", human=human)
+    return True
+
+
 def cmd_find_fixed(args) -> int:
     prepared = _prepare(args, "find-fixed")
     if isinstance(prepared, int):
@@ -562,14 +598,9 @@ def cmd_find_fixed(args) -> int:
         ),
         f"witness in m_hat: {cert.in_m_hat}; outside t*m_hat: {cert.outside_t_m_hat}",
     ]
-    if args.oracle:
-        verdict = _oracle_m_hat_check(action, chain)
-        result["oracle"] = {"m_hat_check": verdict}
-        human.append(f"oracle m_hat check: {verdict}")
-        if verdict == "mismatch":
-            _emit(args, "find-fixed", "validation-failure", action_dict, report_params,
-                  result, reason="oracle-mismatch", human=human)
-            return 1
+    if args.oracle and _oracle_mismatch(args, "find-fixed", action_dict, report_params, result,
+                                        human, "m_hat_check", _oracle_m_hat_check(action, chain)):
+        return 1
     if not cert.ok:
         _emit(args, "find-fixed", "validation-failure", action_dict, report_params, result,
               reason="certificate-failed", human=human)
@@ -602,14 +633,10 @@ def cmd_invariant_chain(args) -> int:
         f"  ell {r['ell']}: dim {r['dim']}, meets shell: yes, nested: yes" for r in rows
     ]
     human.append(f"stable from ell = {chain.l_stable}; t*m_hat inside m_hat: yes")
-    if args.oracle:
-        verdict = _oracle_m_hat_check(action, chain)
-        result["oracle"] = {"m_hat_check": verdict}
-        human.append(f"oracle m_hat check: {verdict}")
-        if verdict == "mismatch":
-            _emit(args, "invariant-chain", "validation-failure", action_dict, report_params,
-                  result, reason="oracle-mismatch", human=human)
-            return 1
+    if args.oracle and _oracle_mismatch(args, "invariant-chain", action_dict, report_params,
+                                        result, human, "m_hat_check",
+                                        _oracle_m_hat_check(action, chain)):
+        return 1
     _emit(args, "invariant-chain", "ok", action_dict, report_params, result, human=human)
     return 0
 
@@ -643,6 +670,10 @@ def cmd_lemma_check(args) -> int:
         for r in probe.rows
     ]
     human.append(f"bound holds along the chain: {probe.ok}")
+    if args.oracle and _oracle_mismatch(args, "lemma-check", action_dict, report_params, result,
+                                        human, "fixed_space_check",
+                                        _oracle_fixed_space_check(lemma.rep)):
+        return 1
     if not probe.ok:
         _emit(args, "lemma-check", "validation-failure", action_dict, report_params, result,
               reason="bound-violated", human=human)

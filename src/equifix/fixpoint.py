@@ -62,13 +62,15 @@ from .replab import FiniteRep
 
 
 def window_b_image(w: LatticeWindow, floor: int = 0) -> Subspace:
-    """Coordinate image of t^floor times the lattice (exponents >= floor) inside the window."""
-    rows = []
-    eye = np.eye(w.dim, dtype=np.int64)
-    for c in range(1, w.d + 1):
-        for e in range(max(w.lo, floor), w.hi):
-            rows.append(eye[w.index(c, e)])
-    return Subspace.from_rows(w.p, w.dim, rows)
+    """Coordinate image of t^floor times the lattice (exponents >= floor) inside the window.
+
+    Its basis is a set of identity rows; sorted, they are the canonical
+    RREF as they stand.
+    """
+    idx = sorted(
+        w.index(c, e) for c in range(1, w.d + 1) for e in range(max(w.lo, floor), w.hi)
+    )
+    return Subspace(w.p, w.dim, FpMatrix(w.p, np.eye(w.dim, dtype=np.int64)[idx]))
 
 
 def monomial_transfer(src: LatticeWindow, dst: LatticeWindow, n: int) -> FpMatrix:
@@ -105,21 +107,46 @@ class _SpinUp:
     and each generator is validated once, when it enters.  Images are
     reduced against R before they are merged, so the merged rows are
     independent of R and no matrix formed here exceeds n = w.dim rows.
+
+    A generator is kept as its taps: g = I + N with N nonzero only in the
+    columns C where g differs from I (and, within them, only in the rows
+    where N is nonzero).
+
+      * Invertibility is checked on g[C, C].  Order C first: the columns
+        outside C are identity columns, so g is block lower triangular
+        with diagonal blocks g[C, C] and I, and det g = det g[C, C].
+        When every column differs from I this is the full elimination.
+      * Every block being closed already lies in R, and row*g = row +
+        row*N, so R + span(block*g) = R + span(delta) with delta =
+        block*N, which is supported on C.  Only delta is reduced against
+        R, and reducing it touches only the rows of R whose pivot
+        columns it hits.
+      * The residue is zero on R's pivot columns, so its RREF rows are
+        merged by clearing their pivot columns from R and sorting all
+        rows by pivot: the result is canonical RREF again, with no
+        elimination of R.
     """
 
     def __init__(self, w: LatticeWindow):
         self.w = w
         self.rows = np.zeros((0, w.dim), dtype=np.int64)
-        self.pivots: list[int] = []
-        self.gens: list[np.ndarray] = []
+        self.pivots = np.zeros(0, dtype=np.int64)
+        self.gens: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add_generator(self, m: FpMatrix) -> None:
-        if m.p != self.w.p or m.shape != (self.w.dim, self.w.dim):
+        n, p = self.w.dim, self.w.p
+        if m.p != p or m.shape != (n, n):
             raise DimensionMismatch("generator does not act on the window")
-        if rref(m).rank != self.w.dim:
+        taps = m.a.copy()
+        taps[np.diag_indices(n)] -= 1
+        taps %= p
+        cols = np.flatnonzero(taps.any(axis=0))
+        if cols.size and rref(FpMatrix(p, m.a[np.ix_(cols, cols)])).rank != cols.size:
             raise SingularGenerator("generator is singular on the window")
-        self.gens.append(m.a)
-        self._close(self.rows, [m.a])
+        rows = np.flatnonzero(taps.any(axis=1))
+        gen = (rows, cols, taps[np.ix_(rows, cols)])
+        self.gens.append(gen)
+        self._close(self.rows, [gen])
 
     def add_rows(self, rows: np.ndarray) -> None:
         self._close(self._absorb(rows), self.gens)
@@ -127,28 +154,38 @@ class _SpinUp:
     def kernel(self) -> Subspace:
         return kernel(FpMatrix(self.w.p, self.rows))
 
-    def _close(self, block: np.ndarray, gens: list[np.ndarray]) -> None:
+    def _close(self, block: np.ndarray, gens) -> None:
         work = [(block, gens)]
         while work:
             block, gens = work.pop()
-            for g in gens:
-                new = self._absorb(block @ g % self.w.p)
+            for rows, cols, taps in gens:
+                delta = np.zeros(block.shape, dtype=np.int64)
+                delta[:, cols] = block[:, rows] @ taps % self.w.p
+                new = self._absorb(delta)
                 if new.shape[0]:
                     work.append((new, self.gens))
 
     def _absorb(self, vecs: np.ndarray) -> np.ndarray:
         """Merge the span of vecs into R; return the RREF rows it added."""
         p = self.w.p
-        if self.pivots:  # R is fully reduced: one product clears its pivots
-            vecs = (vecs - vecs[:, self.pivots] @ self.rows) % p
+        # R is fully reduced: one product with the rows of R whose pivots
+        # vecs hits clears every pivot column of R.
+        hit = np.flatnonzero(vecs[:, self.pivots].any(axis=0))
+        if hit.size:
+            vecs = (vecs - vecs[:, self.pivots[hit]] @ self.rows[hit]) % p
         vecs = vecs[vecs.any(axis=1)]
         if not vecs.shape[0]:
             return vecs
         red = rref(FpMatrix(p, vecs))
         new = red.matrix.a[: red.rank]
-        merged = rref(FpMatrix(p, np.vstack([self.rows, new])))
-        self.rows = merged.matrix.a[: merged.rank]
-        self.pivots = list(merged.pivots)
+        new_pivots = np.array(red.pivots, dtype=np.int64)
+        merged = np.vstack([self.rows, new])
+        hit = np.flatnonzero(self.rows[:, new_pivots].any(axis=1))
+        if hit.size:
+            merged[hit] = (self.rows[hit] - self.rows[np.ix_(hit, new_pivots)] @ new) % p
+        pivots = np.concatenate([self.pivots, new_pivots])
+        order = np.argsort(pivots)
+        self.rows, self.pivots = merged[order], pivots[order]
         return new
 
 
@@ -223,12 +260,12 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     spin.add_rows(b_img.constraints().a)
     subs: list[Subspace] = []
     for ell in range(l_max + 1):
-        # The generator list runs k = -ell .. T-1: after depth 0 only its
-        # first entry, g_{-ell}, is new.  It is rebuilt at every depth so
-        # that a window too narrow for g_{-ell} fails at that depth.
-        for k, m in generator_matrices(a, ell, w):
-            if ell == 0 or k == -ell:
-                spin.add_generator(m)
+        # The generators up to depth ell are g_{-ell} .. g_{T-1}: depth 0
+        # builds g_0 .. g_{T-1} and depth ell only g_{-ell}, so each is
+        # built once, and a window too narrow for g_{-ell} fails at depth
+        # ell with the message of the full list (g_{-ell} is its first).
+        for _, m in generator_matrices(a, ell, w, stop=None if ell == 0 else 1 - ell):
+            spin.add_generator(m)
         sub = spin.kernel()
         if not b_img.contains(sub):
             raise ChainInvariantViolation("member escapes the lattice image")
@@ -262,7 +299,9 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None):
     vanish.  Returns the pair (F, F ∩ m_hat); with no m_hat the second
     component is F itself.  F ∩ m_hat is solved in m_hat's coordinates:
     c*K with K the basis of m_hat lies in F iff rows*K^T*c = 0, so no
-    matrix formed exceeds max(#rows, w.dim) on a side.
+    matrix formed exceeds max(#rows, w.dim) on a side; as in
+    Subspace.intersect, the product of the two canonical bases is
+    canonical as it stands.
     """
     rows = fixed_condition_rows(a, w)
     rows = np.array(rows, dtype=np.int64).reshape(len(rows), w.dim)
@@ -274,7 +313,7 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None):
         return f, f
     k = m_hat.basis.a
     coeffs = kernel(FpMatrix(w.p, rows @ k.T)).basis.a
-    return f, Subspace.from_rows(w.p, w.dim, coeffs @ k)
+    return f, Subspace(w.p, w.dim, FpMatrix(w.p, coeffs @ k))
 
 
 def _coord_valuation(row: np.ndarray, w: LatticeWindow) -> int:

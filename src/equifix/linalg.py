@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidQuotient, LimitExceeded
 
 MAX_PRIME = 97
+# Products of reduced matrices are summed in int64 before the final mod:
+# an entry is a sum of at most MAX_DIM terms below p^2, and
+# 512 * 96^2 < 2^63, so no product formed here can overflow.
 MAX_DIM = 512
 
 
@@ -187,20 +190,24 @@ def rref(m: FpMatrix) -> RrefResult:
 
 
 def kernel(m: FpMatrix) -> "Subspace":
-    """Null space {v : m @ v = 0} as a canonical Subspace."""
-    red = rref(m)
-    p, ncols = m.p, m.cols
+    """Null space {v : m @ v = 0} as a canonical Subspace.
+
+    One elimination, of m with its columns reversed.  In reversed
+    coordinates the null vector of free column f' is e_f' minus pivot
+    columns left of f'; read back in the original order, the vector of
+    free column f is 1 at f and nonzero elsewhere only at pivot columns
+    right of f.  So the vectors, taken by ascending f, lead at distinct
+    free columns and vanish at every other free column: they already
+    are the canonical RREF basis, and no second elimination is needed.
+    """
+    p, n = m.p, m.cols
+    red = rref(FpMatrix(p, m.a[:, ::-1]))
     pivots = list(red.pivots)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    rows = []
-    ra = red.matrix.a
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(ra[i, f])) % p
-        rows.append(v)
-    return Subspace.from_rows(p, ncols, rows)
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[:, free] = np.eye(free.size, dtype=np.int64)
+    basis[:, pivots] = (-red.matrix.a[: red.rank, free].T) % p
+    return Subspace(p, n, FpMatrix(p, basis[::-1, ::-1]))
 
 
 class Subspace:
@@ -251,16 +258,7 @@ class Subspace:
         vec = as_vector(self.p, v)
         if vec.shape[0] != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        # Reduce v against the rref basis: subtract the pivot-coordinate
-        # multiples and see whether anything is left.
-        residue = vec.copy()
-        ba = self.basis.a
-        pivots = _pivots_of_rref(ba)
-        for i, c in enumerate(pivots):
-            coef = int(residue[c])
-            if coef:
-                residue = (residue - coef * ba[i]) % self.p
-        return not residue.any()
+        return self._spans(vec[None, :])
 
     def coordinates(self, v) -> np.ndarray:
         """Coefficients of v against the canonical basis (v must be a member)."""
@@ -271,12 +269,17 @@ class Subspace:
         return vec[list(pivots)] if pivots else np.zeros(0, dtype=np.int64)
 
     def contains(self, other: "Subspace") -> bool:
-        """Whether other is contained in self."""
+        """Whether other is contained in self (a pivot read-off, see _spans)."""
         self._check_compatible(other)
-        if other.dim == 0:
-            return True
-        stacked = np.vstack([self.basis.a, other.basis.a])
-        return rref(FpMatrix(self.p, stacked)).rank == self.dim
+        return self._spans(other.basis.a)
+
+    def _spans(self, vecs: np.ndarray) -> bool:
+        """Whether every row of vecs lies in self, with no elimination: o
+        lies in the span of the canonical basis B with pivot columns piv
+        iff o - o[piv]*B = 0, since o[piv]*B is the only member of the
+        span that agrees with o on the pivot columns."""
+        piv = list(_pivots_of_rref(self.basis.a))
+        return not ((vecs - vecs[:, piv] @ self.basis.a) % self.p).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -289,11 +292,19 @@ class Subspace:
         return ker.basis
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """self ∩ other, solved in self's coordinates.
+
+        c*B (B the basis of self) lies in other iff C*B^T*c = 0, with C
+        the constraints of other, so the meet is K*B for K the canonical
+        basis of kernel(C*B^T).  A product of RREF matrices is RREF: row
+        i of K*B leads at B's pivot pivK[i] and vanishes at the other
+        pivots B[pivK], so K*B is canonical as it stands.  No matrix
+        formed exceeds n on a side.
+        """
         self._check_compatible(other)
-        c = np.vstack([self.constraints().a, other.constraints().a])
-        if c.shape[0] == 0:
-            return Subspace.full(self.p, self.ambient_dim)
-        return kernel(FpMatrix(self.p, c))
+        b = self.basis.a
+        coeffs = kernel(FpMatrix(self.p, other.constraints().a @ b.T)).basis.a
+        return Subspace(self.p, self.ambient_dim, FpMatrix(self.p, coeffs @ b))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -317,11 +328,9 @@ class Subspace:
 def _pivots_of_rref(a: np.ndarray) -> tuple[int, ...]:
     # Basis arrays are always rref with no zero rows, so the pivot of each
     # row is its first nonzero column.
-    out = []
-    for row in a:
-        nz = np.nonzero(row)[0]
-        out.append(int(nz[0]))
-    return tuple(out)
+    if not a.size:  # argmax refuses an empty row
+        return ()
+    return tuple((a != 0).argmax(axis=1).tolist())
 
 
 def map_image(m: FpMatrix, u: Subspace) -> Subspace:

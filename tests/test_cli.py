@@ -381,6 +381,27 @@ def test_invariant_chain_on_a_window_with_codim_beyond_half_the_cap(tmp_path, ca
     assert load_report(rpt)["result"]["chain"]["dims"] == [2]
 
 
+@pytest.mark.parametrize(
+    "command, window, dim",
+    [("invariant-chain", "-150:100", 500), ("find-fixed", "-250:4", 508)],
+)
+def test_tap_runs_on_a_window_near_the_dimension_cap(tmp_path, capsys, command, window, dim):
+    """A dim-500 chain and a dim-508 fixed point finish: each generator
+    is checked on its few changed columns, not by an n x n elimination."""
+    cfg = family_config(tmp_path, capsys, "tap")
+    rpt = tmp_path / "cap.json"
+    code, _, err = run(
+        capsys, command, "--config", str(cfg), f"--window={window}", "--l-max", "0",
+        "--json", str(rpt),
+    )
+    assert code == 0, err
+    report = load_report(rpt)
+    assert report["status"] == "ok"
+    lo, hi = (int(x) for x in window.split(":"))
+    assert 2 * (hi - lo) == dim
+    assert report["result"]["chain"]["window"] == {"lo": lo, "hi": hi}
+
+
 def test_invariant_chain_respects_config_window_key(tmp_path, capsys):
     cfg = tmp_path / "windowed.yaml"
     cfg.write_text("p: 2\nd: 2\nwindow: [0, 3]\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: 1}\n")
@@ -403,6 +424,46 @@ def test_lemma_check_bundled_families(tmp_path, capsys, name):
     for row in probe["rows"]:
         assert row["bound_ok"]
         assert Fraction(row["lower_bound"]) <= row["fixed_dim"]
+
+
+def test_lemma_check_oracle_checks_the_fixed_space(tmp_path, capsys):
+    cfg = family_config(tmp_path, capsys, "tap")
+    plain, checked = tmp_path / "plain.json", tmp_path / "checked.json"
+    code, out, _ = run(capsys, "lemma-check", "--config", str(cfg), "--json", str(plain))
+    assert code == 0
+    assert "oracle" not in load_report(plain)["result"]
+    code, out, _ = run(
+        capsys, "lemma-check", "--config", str(cfg), "--json", str(checked), "--oracle"
+    )
+    assert code == 0
+    assert "oracle fixed_space check: match" in out
+    report = load_report(checked)
+    assert report["result"]["oracle"] == {"fixed_space_check": "match"}
+    del report["result"]["oracle"]
+    assert report == json.loads(plain.read_text())
+
+
+def test_lemma_check_oracle_reports_mismatch_and_skip(tmp_path, capsys, monkeypatch):
+    import equifix.cli
+    from equifix.errors import BudgetExceeded
+    from equifix.linalg import Subspace
+
+    cfg = family_config(tmp_path, capsys, "tap")
+    rpt = tmp_path / "oracle.json"
+    monkeypatch.setattr(equifix.cli, "brute_fixed", lambda p, dim, gens: Subspace.zero(p, dim))
+    code, _, _ = run(capsys, "lemma-check", "--config", str(cfg), "--json", str(rpt), "--oracle")
+    assert code == 1
+    report = load_report(rpt)
+    assert (report["status"], report["reason"]) == ("validation-failure", "oracle-mismatch")
+    assert report["result"]["oracle"] == {"fixed_space_check": "mismatch"}
+
+    def over_budget(p, dim, gens):
+        raise BudgetExceeded("too many vectors")
+
+    monkeypatch.setattr(equifix.cli, "brute_fixed", over_budget)
+    code, _, _ = run(capsys, "lemma-check", "--config", str(cfg), "--json", str(rpt), "--oracle")
+    assert code == 0
+    assert load_report(rpt)["result"]["oracle"] == {"fixed_space_check": "skipped-budget"}
 
 
 def test_lemma_check_without_quotient_room_exits_two(tmp_path, capsys):

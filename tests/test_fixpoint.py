@@ -575,3 +575,145 @@ def test_chain_eliminations_stay_within_budget(monkeypatch):
     chain = m_ell_chain(a, 12, default_window(a, 16, 12))
     assert chain.window.dim == 60
     assert len(calls) <= 300
+
+
+# ------------------------------------------------- generator checks and guards
+
+
+def _identity_with_columns(p, n, cols):
+    """I with the given columns replaced: {j: column vector}."""
+    g = np.eye(n, dtype=np.int64)
+    for j, col in cols.items():
+        g[:, j] = col
+    return FpMatrix(p, g)
+
+
+def _unit(n, *idx):
+    v = np.zeros(n, dtype=np.int64)
+    v[list(idx)] = 1
+    return v
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        {3: _unit(8, 5)},  # one column, equal to column 5
+        {2: _unit(8, 2, 6), 6: _unit(8, 2, 6)},  # two equal columns
+        {1: _unit(8, 1, 4), 4: _unit(8, 1, 4) * 2},  # two dependent columns (p = 3)
+    ],
+)
+def test_singular_generator_with_few_changed_columns_is_rejected(cols):
+    w = LatticeWindow(0, 4, d=2, p=3)
+    g = _identity_with_columns(3, w.dim, cols)
+    with pytest.raises(SingularGenerator):
+        max_invariant_subspace([g], w, window_b_image(w))
+
+
+def test_singular_generator_differing_from_identity_everywhere_is_rejected():
+    w = LatticeWindow(0, 3, d=2, p=5)
+    rng = random.Random(11)
+    g = np.array([[rng.randrange(1, 5) for _ in range(w.dim)] for _ in range(w.dim)])
+    g[np.diag_indices(w.dim)] = 0  # no column equals its identity column
+    g[:, -1] = (2 * g[:, 0] + 3 * g[:, 1]) % 5
+    assert all((g[:, j] != np.eye(w.dim, dtype=np.int64)[:, j]).any() for j in range(w.dim))
+    with pytest.raises(SingularGenerator):
+        max_invariant_subspace([FpMatrix(5, g)], w, window_b_image(w))
+
+
+def test_dimension_mismatch_is_raised_before_singular_generator():
+    w = LatticeWindow(0, 2, d=2, p=2)
+    wrong_shape = FpMatrix.zeros(2, w.dim + 1, w.dim + 1)
+    wrong_field = FpMatrix.zeros(3, w.dim, w.dim)
+    for g in (wrong_shape, wrong_field):
+        with pytest.raises(DimensionMismatch) as info:
+            max_invariant_subspace([g], w, window_b_image(w))
+        assert not isinstance(info.value, SingularGenerator)
+    # Checks run generator by generator, in the order given.
+    with pytest.raises(SingularGenerator):
+        max_invariant_subspace([FpMatrix.zeros(2, w.dim, w.dim), wrong_shape], w,
+                               window_b_image(w))
+
+
+def _recording_rref(monkeypatch):
+    import equifix.fixpoint
+    import equifix.linalg
+
+    real = equifix.linalg.rref
+    shapes = []
+
+    def recording_rref(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(equifix.linalg, "rref", recording_rref)
+    monkeypatch.setattr(equifix.fixpoint, "rref", recording_rref)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["tap", "dropping-tap", "chain-3"])
+def test_tap_generator_check_eliminates_only_its_changed_columns(monkeypatch, name):
+    """Each generator's invertibility check is one |C|x|C| elimination,
+    C the columns where g differs from I (at most one per tap, none for
+    a generator that acts as I on the window); checked on an empty
+    spin-up, where the check is the only elimination."""
+    from equifix.fixpoint import _SpinUp
+
+    a = mk_action(*FAMILIES[name])
+    w = default_window(a, 12, 8)
+    gens = generator_matrices(a, 8, w)
+    shapes = _recording_rref(monkeypatch)
+    for _, m in gens:
+        ident = np.eye(w.dim, dtype=np.int64)
+        changed = int((m.a != ident).any(axis=0).sum())
+        assert changed <= len(a.seed.entries)
+        del shapes[:]
+        _SpinUp(w).add_generator(m)
+        assert shapes == ([(changed, changed)] if changed else [])
+    assert w.dim > 2 * len(a.seed.entries)
+
+
+def test_contains_makes_no_elimination(monkeypatch):
+    a = mk_action(*DROP)
+    chain = m_ell_chain(a, 6, default_window(a, 8, 6))
+    shapes = _recording_rref(monkeypatch)
+    b_img = window_b_image(chain.window)
+    for sub in chain.subspaces:
+        assert b_img.contains(sub)
+        assert sub.contains(chain.m_hat)
+    assert not chain.m_hat.contains(b_img)
+    assert shapes == []
+
+
+def test_chain_builds_each_generator_matrix_once(monkeypatch):
+    import equifix.action
+
+    a = mk_action(*DROP)
+    w = default_window(a, 16, 12)
+    distinct = len(generator_matrices(a, 12, w))
+    reference = m_ell_chain(a, 12, w)
+    real = equifix.action.induced_matrix
+    built = []
+
+    def counting_induced_matrix(n, win):
+        built.append(n)
+        return real(n, win)
+
+    monkeypatch.setattr(equifix.action, "induced_matrix", counting_induced_matrix)
+    chain = m_ell_chain(a, 12, w)
+    assert len(built) == distinct == 12 + a.modulus.threshold(w.hi)
+    assert chain == reference
+
+
+def test_too_narrow_window_fails_at_the_same_depth_with_the_same_message():
+    """Dropping-tap: g_k writes t^(k-1) from t^k, so on a floor of -3 the
+    first generator the window cannot represent is g_{-3}, at depth 3."""
+    a = mk_action(*DROP)
+    w = LatticeWindow(-3, 8, d=2, p=2)
+    m_ell_chain(a, 2, w)  # depths 0..2 build fine
+    with pytest.raises(WindowTooNarrow) as expected:
+        generator_matrices(a, 3, w)
+    for l_max in (3, 5):
+        with pytest.raises(WindowTooNarrow) as info:
+            m_ell_chain(a, l_max, w)
+        assert str(info.value) == str(expected.value)
+        assert "writes below the window floor -3" in str(info.value)

@@ -343,3 +343,133 @@ def test_quotient_requires_containment():
             Subspace.from_rows(2, 2, [[1, 0]]),
             Subspace.from_rows(2, 2, [[0, 1]]),
         )
+
+
+# ------------------------------------------- read-offs against the old code
+#
+# Test-local copies of the eliminating versions that kernel, contains and
+# intersect replaced; canonical RREF is unique, so the outputs must be
+# array-equal, not merely equal as spans.
+
+
+def two_elimination_kernel(m):
+    red = rref(m)
+    p, ncols = m.p, m.cols
+    pivots = list(red.pivots)
+    rows = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = np.zeros(ncols, dtype=np.int64)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-int(red.matrix.a[i, f])) % p
+        rows.append(v)
+    return Subspace.from_rows(p, ncols, rows)
+
+
+def rank_contains(s, o):
+    if o.dim == 0:
+        return True
+    return rref(FpMatrix(s.p, np.vstack([s.basis.a, o.basis.a]))).rank == s.dim
+
+
+def stacked_intersect(s, o):
+    def constraints(u):
+        if u.dim == 0:
+            return np.eye(u.ambient_dim, dtype=np.int64)
+        return two_elimination_kernel(u.basis).basis.a
+
+    c = np.vstack([constraints(s), constraints(o)])
+    if c.shape[0] == 0:
+        return Subspace.from_rows(s.p, s.ambient_dim, np.eye(s.ambient_dim, dtype=np.int64))
+    return two_elimination_kernel(FpMatrix(s.p, c))
+
+
+READOFF_PRIMES = (2, 3, 5, 97)
+
+
+def random_rank_matrix(rng, p, rows, cols, rank):
+    """rows x cols over F_p, of rank at most `rank` (a product of two factors)."""
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    return FpMatrix(p, np.array(left, dtype=np.int64).reshape(rows, rank)
+                    @ np.array(right, dtype=np.int64).reshape(rank, cols))
+
+
+def readoff_matrices(p, seed):
+    rng = random.Random(seed)
+    mats = [
+        FpMatrix(p, np.zeros((0, 0), dtype=np.int64)),
+        FpMatrix(p, np.zeros((0, 5), dtype=np.int64)),
+        FpMatrix(p, np.zeros((4, 0), dtype=np.int64)),
+        FpMatrix(p, np.zeros((3, 6), dtype=np.int64)),
+        FpMatrix.identity(p, 6),
+        random_rank_matrix(rng, p, 5, 5, 5),  # full rank unless unlucky
+        FpMatrix(p, np.triu(np.ones((7, 7), dtype=np.int64))),  # full rank
+    ]
+    for _ in range(24):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        mats.append(random_rank_matrix(rng, p, rows, cols, rng.randint(0, max(rows, cols))))
+    return mats
+
+
+def readoff_subspaces(p, n, seed):
+    rng = random.Random(seed)
+    subs = [Subspace.zero(p, n), Subspace.full(p, n)]
+    for _ in range(10):
+        rank = rng.randint(0, n)
+        subs.append(Subspace.from_rows(p, n, random_rank_matrix(rng, p, rank + 1, n, rank).a))
+    # Members of each other, so that contains answers True off the trivial cases.
+    for s in list(subs):
+        k = rng.randint(0, s.dim)
+        subs.append(Subspace.from_rows(p, n, random_rank_matrix(rng, p, k, s.dim, k).a @ s.basis.a))
+    return subs
+
+
+@pytest.mark.parametrize("p", READOFF_PRIMES)
+def test_kernel_matches_the_two_elimination_kernel(p):
+    for m in readoff_matrices(p, seed=p):
+        new, old = kernel(m), two_elimination_kernel(m)
+        assert new.ambient_dim == old.ambient_dim == m.cols
+        assert new.basis.shape == old.basis.shape
+        assert np.array_equal(new.basis.a, old.basis.a), m
+
+
+@pytest.mark.parametrize("p", READOFF_PRIMES)
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_contains_matches_the_rank_test(p, n):
+    subs = readoff_subspaces(p, n, seed=100 * p + n)
+    answers = set()
+    for s in subs:
+        for o in subs:
+            answers.add(s.contains(o))
+            assert s.contains(o) == rank_contains(s, o)
+    assert answers == {True, False} or n == 0
+
+
+@pytest.mark.parametrize("p", READOFF_PRIMES)
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_intersect_matches_the_stacked_constraints(p, n):
+    subs = readoff_subspaces(p, n, seed=1000 + 100 * p + n)
+    for s in subs:
+        for o in subs:
+            new, old = s.intersect(o), stacked_intersect(s, o)
+            assert new.ambient_dim == old.ambient_dim == n
+            assert new.basis.shape == old.basis.shape
+            assert np.array_equal(new.basis.a, old.basis.a)
+
+
+def test_kernel_eliminates_once(monkeypatch):
+    import equifix.linalg
+
+    real = equifix.linalg.rref
+    calls = []
+
+    def counting_rref(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(equifix.linalg, "rref", counting_rref)
+    for m in readoff_matrices(3, seed=7):
+        del calls[:]
+        kernel(m)
+        assert calls == [m.shape]
