@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFixedSpace,
     EquifixError,
+    ExponentOverflow,
     InsufficientPrecision,
     LimitExceeded,
     NonCommuting,
@@ -48,10 +49,10 @@ from .fixpoint import (
     widen_window,
     window_b_image,
 )
-from .laurent import LatticeWindow, format_vector, random_series, random_vector
+from .laurent import MAX_EXPONENT, LatticeWindow, format_vector, random_series, random_vector
 from .linalg import FpMatrix
 from .oracle import brute_fixed, brute_max_invariant
-from .replab import FiniteRep, dichotomy_probe, fixed_space
+from .replab import dichotomy_probe, fixed_space
 from .taps import SparsePerturbation, TapEntry, induced_matrix
 
 DEFAULT_PRECISION = 4
@@ -180,28 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="cross-check with the brute-force oracle where budgets permit",
         )
 
-    sp = sub.add_parser("validate", help="certify an action config")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("find-fixed", help="compute a certified nonzero fixed vector")
-    common(sp)
-    sp.set_defaults(func=cmd_find_fixed)
-
-    sp = sub.add_parser("invariant-chain", help="per-depth invariant subspace table")
-    common(sp)
-    sp.set_defaults(func=cmd_invariant_chain)
-
+    common(sub.add_parser("validate", help="certify an action config"))
+    common(sub.add_parser("find-fixed", help="compute a certified nonzero fixed vector"))
+    common(sub.add_parser("invariant-chain", help="per-depth invariant subspace table"))
     sp = sub.add_parser("lemma-check", help="growth probe on the shifted quotient chain")
     common(sp)
     sp.add_argument("--n-max", dest="n_max", type=int, default=None, help="shift depth")
-    sp.set_defaults(func=cmd_lemma_check)
 
     sp = sub.add_parser("gen-example", help="write a bundled family config")
     sp.add_argument("name", choices=sorted(EXAMPLES))
     sp.add_argument("--config", default=None, help="destination path (default: stdout)")
     sp.add_argument("--json", default=None, help="write the JSON report to this path")
-    sp.set_defaults(func=cmd_gen_example)
     return parser
 
 
@@ -212,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}")
     try:
         data = yaml.safe_load(text)
@@ -248,6 +238,9 @@ def _check_config(data: dict) -> None:
             parts = value if isinstance(value, list) else [value]
             if not all(_is_int(x) for x in parts):
                 raise ValueError(f"seed[{i}] key {key!r} must hold integers, got {value!r}")
+            if key != "coeff" and len(parts) == 2 and abs(parts[1]) > MAX_EXPONENT:
+                raise LimitExceeded(f"seed[{i}] key {key!r} exponent {parts[1]} beyond "
+                                    f"±{MAX_EXPONENT}")
     window = data.get("window")
     if isinstance(window, list) and not all(_is_int(x) for x in window):
         raise ValueError(f"config key 'window' must hold integers, got {window!r}")
@@ -318,14 +311,8 @@ def _resolve_params(args, data: dict) -> dict:
     if window is None and data.get("window") is not None:
         raw = data["window"]
         try:
-            if isinstance(raw, str):
-                window = _window_arg(raw)
-            else:
-                lo, hi = raw
-                window = (int(lo), int(hi))
-                if hi <= lo:
-                    raise ValueError
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            window = _window_arg(":".join(map(str, raw)) if isinstance(raw, list) else str(raw))
+        except argparse.ArgumentTypeError:
             raise ValueError(f"malformed window {raw!r} in config")
     params["window"] = window
     if params["precision"] < 1:
@@ -337,13 +324,6 @@ def _resolve_params(args, data: dict) -> dict:
     return params
 
 
-def _window_from_params(params: dict, a: Action) -> LatticeWindow | None:
-    if params["window"] is None:
-        return None
-    lo, hi = params["window"]
-    return LatticeWindow(lo, hi, a.d, a.p)
-
-
 def _params_for_report(params: dict, w: LatticeWindow | None) -> dict:
     out = {k: v for k, v in params.items() if k != "window"}
     out["window"] = {"lo": w.lo, "hi": w.hi} if w is not None else None
@@ -352,6 +332,13 @@ def _params_for_report(params: dict, w: LatticeWindow | None) -> dict:
 
 # ---------------------------------------------------------------------------
 # report plumbing
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
 
 
 def _emit(args, command, status, action_dict, params, result, reason=None, human=()):
@@ -368,20 +355,21 @@ def _emit(args, command, status, action_dict, params, result, reason=None, human
         }
         if reason is not None:
             report["reason"] = reason
-        Path(args.json).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write(args.json, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _classify(exc: EquifixError) -> tuple[int, str, str]:
-    """(exit code, report status, machine-readable reason) for a failure."""
+def _classify(exc: Exception) -> tuple[int, str, str]:
+    """(exit code, report status, machine-readable reason) for a failure.
+    A plain ValueError is a config value no action can be built from."""
     if isinstance(exc, NotOrderP):
         return 1, "validation-failure", "not-order-p"
     if isinstance(exc, NonCommuting):
         return 1, "validation-failure", "non-commuting"
     if isinstance(exc, ChainInvariantViolation):
         return 1, "validation-failure", "invariant-violation"
-    if isinstance(exc, LimitExceeded):
+    if isinstance(exc, (LimitExceeded, ExponentOverflow)):
         return 1, "validation-failure", "limit-exceeded"
-    if isinstance(exc, DimensionMismatch):
+    if isinstance(exc, DimensionMismatch) or not isinstance(exc, EquifixError):
         return 1, "validation-failure", "parse-error"
     if isinstance(exc, EmptyFixedSpace):
         return 2, "window-too-small", "empty-fixed-space"
@@ -433,47 +421,13 @@ def _fail(args, command, action_dict, params_dict, exc, action=None, params=None
     return code
 
 
-def _prepare(args, command):
-    """Shared front half of every pipeline command.
-
-    Returns (action, params, action_dict) or an int exit code when the
-    run already failed (after emitting the failure report).
-    """
-    data = _load_config(args.config)
-    try:
-        _check_config(data)
-        spec = _spec_from_data(data)
-        params = _resolve_params(args, data)
-    except (ValueError, DimensionMismatch) as exc:
-        params_dict = {"window": None}
-        print(f"{command}: parse-error: {exc}", file=sys.stderr)
-        _emit(
-            args,
-            command,
-            "validation-failure",
-            _fallback_action_dict(data),
-            params_dict,
-            {"message": str(exc)},
-            reason="parse-error",
-        )
-        return 1
-    action_dict = _action_dict(spec)
-    try:
-        action = build_action(spec)
-    except (NotOrderP, NonCommuting) as exc:
-        return _fail(args, command, action_dict, _params_for_report(params, None), exc)
-    return action, params, action_dict
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each compute takes (action, params, window, oracle) and returns
+# (result, human lines, oracle (key, verdict, line) or None, failure reason
+# or None)
 
 
-def cmd_validate(args) -> int:
-    prepared = _prepare(args, "validate")
-    if isinstance(prepared, int):
-        return prepared
-    action, params, action_dict = prepared
+def _validate(action: Action, params: dict, _window, oracle: bool):
     precision, l_max = params["precision"], params["l_max"]
     rng = random.Random(params["rng_seed"])
     x_prec = precision + action.drop + 1
@@ -485,11 +439,7 @@ def cmd_validate(args) -> int:
         )
         for _ in range(EQUIVARIANCE_SAMPLES)
     ]
-    report_params = _params_for_report(params, None)
-    try:
-        eq = equivariance_check(action, samples, precision=precision)
-    except EquifixError as exc:
-        return _fail(args, "validate", action_dict, report_params, exc)
+    eq = equivariance_check(action, samples, precision=precision)
     trivial = action.seed.is_zero
     if trivial:
         table = []
@@ -515,69 +465,39 @@ def cmd_validate(args) -> int:
         )
         human.extend(f"  mu({k}) = {mu}" for k, mu in table)
     human.append(f"equivariance holds on {len(samples)} samples: {eq.ok}")
-    if args.oracle and not trivial:
+    check = None
+    if oracle and not trivial:
         w = default_window(action, precision, l_max)
         g = induced_matrix(action.seed, w)
         match = g**action.p == FpMatrix.identity(action.p, w.dim)
-        result["oracle"] = {"order_check": "match" if match else "mismatch"}
-        human.append(f"oracle window-matrix order check: {'match' if match else 'MISMATCH'}")
-        if not match:
-            _emit(args, "validate", "validation-failure", action_dict, report_params, result,
-                  reason="oracle-mismatch", human=human)
-            return 1
-    if not eq.ok:
-        _emit(args, "validate", "validation-failure", action_dict, report_params, result,
-              reason="equivariance-failure", human=human)
-        return 1
-    _emit(args, "validate", "ok", action_dict, report_params, result, human=human)
-    return 0
+        check = ("order_check", "match" if match else "mismatch",
+                 f"oracle window-matrix order check: {'match' if match else 'MISMATCH'}")
+    return result, human, check, None if eq.ok else "equivariance-failure"
 
 
-def _oracle_m_hat_check(action: Action, chain) -> str:
-    """'match' | 'mismatch' | 'skipped-budget' for the deepest member."""
+def _verdict(key: str, brute, fast) -> tuple[str, str, str]:
+    """Oracle triple for brute() against the fast answer: 'match',
+    'mismatch' or 'skipped-budget'."""
+    try:
+        verdict = "match" if brute() == fast else "mismatch"
+    except BudgetExceeded:
+        verdict = "skipped-budget"
+    return key, verdict, f"oracle {key.replace('_check', ' check')}: {verdict}"
+
+
+def _m_hat_verdict(action: Action, chain) -> tuple[str, str, str]:
+    """Oracle triple for the deepest member, enumerated in the lattice image."""
     w = chain.window
     mats = [m for _, m in generator_matrices(action, chain.l_max, w)]
-    try:
-        brute = brute_max_invariant(action.p, w.dim, mats, ambient=window_b_image(w))
-    except BudgetExceeded:
-        return "skipped-budget"
-    return "match" if brute == chain.m_hat else "mismatch"
+    return _verdict(
+        "m_hat_check",
+        lambda: brute_max_invariant(action.p, w.dim, mats, ambient=window_b_image(w)),
+        chain.m_hat,
+    )
 
 
-def _oracle_fixed_space_check(rep: FiniteRep) -> str:
-    """'match' | 'mismatch' | 'skipped-budget' for the fixed space of rep."""
-    try:
-        brute = brute_fixed(rep.p, rep.dim, rep.generators)
-    except BudgetExceeded:
-        return "skipped-budget"
-    return "match" if brute == fixed_space(rep) else "mismatch"
-
-
-def _oracle_mismatch(args, command, action_dict, report_params, result, human, check, verdict):
-    """Record an oracle verdict in the report; on a mismatch emit the
-    validation failure and return True."""
-    result["oracle"] = {check: verdict}
-    human.append(f"oracle {check.replace('_check', ' check')}: {verdict}")
-    if verdict != "mismatch":
-        return False
-    _emit(args, command, "validation-failure", action_dict, report_params, result,
-          reason="oracle-mismatch", human=human)
-    return True
-
-
-def cmd_find_fixed(args) -> int:
-    prepared = _prepare(args, "find-fixed")
-    if isinstance(prepared, int):
-        return prepared
-    action, params, action_dict = prepared
-    precision, l_max = params["precision"], params["l_max"]
-    report_params = _params_for_report(params, None)
-    try:
-        window = _window_from_params(params, action)
-        report_params = _params_for_report(params, window)
-        chain, cert = find_fixed_point(action, precision, l_max, window)
-    except EquifixError as exc:
-        return _fail(args, "find-fixed", action_dict, report_params, exc, action, params)
+def _find_fixed(action: Action, params: dict, window, oracle: bool):
+    chain, cert = find_fixed_point(action, params["precision"], params["l_max"], window)
     b_dim = window_b_image(chain.window).dim
     result = {
         "chain": chain.to_dict(),
@@ -598,31 +518,12 @@ def cmd_find_fixed(args) -> int:
         ),
         f"witness in m_hat: {cert.in_m_hat}; outside t*m_hat: {cert.outside_t_m_hat}",
     ]
-    if args.oracle and _oracle_mismatch(args, "find-fixed", action_dict, report_params, result,
-                                        human, "m_hat_check", _oracle_m_hat_check(action, chain)):
-        return 1
-    if not cert.ok:
-        _emit(args, "find-fixed", "validation-failure", action_dict, report_params, result,
-              reason="certificate-failed", human=human)
-        return 1
-    _emit(args, "find-fixed", "ok", action_dict, report_params, result, human=human)
-    return 0
+    check = _m_hat_verdict(action, chain) if oracle else None
+    return result, human, check, None if cert.ok else "certificate-failed"
 
 
-def cmd_invariant_chain(args) -> int:
-    prepared = _prepare(args, "invariant-chain")
-    if isinstance(prepared, int):
-        return prepared
-    action, params, action_dict = prepared
-    precision, l_max = params["precision"], params["l_max"]
-    report_params = _params_for_report(params, None)
-    try:
-        window = _window_from_params(params, action)
-        w = window if window is not None else default_window(action, precision, l_max)
-        report_params = _params_for_report(params, w)
-        chain = m_ell_chain(action, l_max, w)
-    except EquifixError as exc:
-        return _fail(args, "invariant-chain", action_dict, report_params, exc, action, params)
+def _invariant_chain(action: Action, params: dict, w: LatticeWindow, oracle: bool):
+    chain = m_ell_chain(action, params["l_max"], w)
     rows = [
         {"ell": i, "dim": s.dim, "meets_shell": True, "nested": True}
         for i, s in enumerate(chain.subspaces)
@@ -633,30 +534,13 @@ def cmd_invariant_chain(args) -> int:
         f"  ell {r['ell']}: dim {r['dim']}, meets shell: yes, nested: yes" for r in rows
     ]
     human.append(f"stable from ell = {chain.l_stable}; t*m_hat inside m_hat: yes")
-    if args.oracle and _oracle_mismatch(args, "invariant-chain", action_dict, report_params,
-                                        result, human, "m_hat_check",
-                                        _oracle_m_hat_check(action, chain)):
-        return 1
-    _emit(args, "invariant-chain", "ok", action_dict, report_params, result, human=human)
-    return 0
+    return result, human, _m_hat_verdict(action, chain) if oracle else None, None
 
 
-def cmd_lemma_check(args) -> int:
-    prepared = _prepare(args, "lemma-check")
-    if isinstance(prepared, int):
-        return prepared
-    action, params, action_dict = prepared
-    precision, l_max, n_max = params["precision"], params["l_max"], params["n_max"]
-    report_params = _params_for_report(params, None)
-    try:
-        window = _window_from_params(params, action)
-        w = window if window is not None else default_window(action, precision, l_max, n_max=n_max)
-        report_params = _params_for_report(params, w)
-        chain = m_ell_chain(action, l_max, w)
-        lemma = lemma_chain_from_action(action, chain, n_max)
-        probe = dichotomy_probe(lemma.rep, lemma.nested)
-    except EquifixError as exc:
-        return _fail(args, "lemma-check", action_dict, report_params, exc, action, params)
+def _lemma_check(action: Action, params: dict, w: LatticeWindow, oracle: bool):
+    chain = m_ell_chain(action, params["l_max"], w)
+    lemma = lemma_chain_from_action(action, chain, params["n_max"])
+    probe = dichotomy_probe(lemma.rep, lemma.nested)
     result = {"lemma": lemma.to_dict(), "probe": probe.to_dict()}
     human = [
         "quotient dim {} on window [{}, {}); {} acting generator(s)".format(
@@ -670,16 +554,60 @@ def cmd_lemma_check(args) -> int:
         for r in probe.rows
     ]
     human.append(f"bound holds along the chain: {probe.ok}")
-    if args.oracle and _oracle_mismatch(args, "lemma-check", action_dict, report_params, result,
-                                        human, "fixed_space_check",
-                                        _oracle_fixed_space_check(lemma.rep)):
-        return 1
-    if not probe.ok:
-        _emit(args, "lemma-check", "validation-failure", action_dict, report_params, result,
-              reason="bound-violated", human=human)
-        return 1
-    _emit(args, "lemma-check", "ok", action_dict, report_params, result, human=human)
-    return 0
+    check = None
+    if oracle:
+        rep = lemma.rep
+        check = _verdict("fixed_space_check", lambda: brute_fixed(rep.p, rep.dim, rep.generators),
+                         fixed_space(rep))
+    return result, human, check, None if probe.ok else "bound-violated"
+
+
+# name -> (compute, policy_window).  policy_window True: the explicit window,
+# else the policy's; False: the explicit window or None (find_fixed_point
+# sizes and retries its own); None: the command takes no window.
+COMMANDS = {
+    "validate": (_validate, None),
+    "find-fixed": (_find_fixed, False),
+    "invariant-chain": (_invariant_chain, True),
+    "lemma-check": (_lemma_check, True),
+}
+
+
+def _run(args, command: str) -> int:
+    """The route of every COMMANDS entry: load and check the config,
+    build the action, resolve the window, compute, then record the oracle
+    verdict and emit `ok` or the command's validation failure."""
+    compute, policy_window = COMMANDS[command]
+    data = _load_config(args.config)
+    try:
+        _check_config(data)
+        spec = _spec_from_data(data)
+        params = _resolve_params(args, data)
+    except ValueError as exc:
+        return _fail(args, command, _fallback_action_dict(data), {"window": None}, exc)
+    action_dict = _action_dict(spec)
+    report_params = _params_for_report(params, None)
+    action = window = None
+    try:
+        action = build_action(spec)
+        if policy_window is not None and params["window"] is not None:
+            window = LatticeWindow(*params["window"], action.d, action.p)
+        elif policy_window:
+            window = default_window(action, params["precision"], params["l_max"],
+                                    n_max=params.get("n_max", 0))
+        report_params = _params_for_report(params, window)
+        result, human, check, reason = compute(action, params, window, args.oracle)
+    except EquifixError as exc:
+        return _fail(args, command, action_dict, report_params, exc, action, params)
+    if check is not None:
+        key, verdict, line = check
+        result["oracle"] = {key: verdict}
+        human.append(line)
+        if verdict == "mismatch":
+            reason = "oracle-mismatch"
+    status = "ok" if reason is None else "validation-failure"
+    _emit(args, command, status, action_dict, report_params, result, reason=reason, human=human)
+    return 0 if reason is None else 1
 
 
 def _example_yaml(name: str) -> str:
@@ -712,28 +640,15 @@ def cmd_gen_example(args) -> int:
     text = _example_yaml(args.name)
     human = []
     if args.config:
-        try:
-            Path(args.config).write_text(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.config}: {exc}")
+        _write(args.config, text)
         human.append(f"wrote {args.config}")
     else:
         sys.stdout.write(text)
-    fam = EXAMPLES[args.name]
-    action_dict = {
-        "p": fam["p"],
-        "d": fam["d"],
-        "label": fam["label"],
-        "seed": [
-            {"in": [ic, ie], "out": [oc, oe], "coeff": c}
-            for (ic, ie), (oc, oe), c in fam["seed"]
-        ],
-    }
     _emit(
         args,
         "gen-example",
         "ok",
-        action_dict,
+        _action_dict(_spec_from_data(yaml.safe_load(text))),
         {"name": args.name, "window": None},
         {"config": text},
         human=human,
@@ -745,7 +660,9 @@ def console_main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "gen-example":
+            return cmd_gen_example(args)
+        return _run(args, args.command)
     except _UsageError as exc:
         print(f"equifix: {exc}", file=sys.stderr)
         return 3

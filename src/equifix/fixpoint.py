@@ -290,14 +290,13 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     return InvariantChain(a, w, tuple(subs), m_hat, l_stable)
 
 
-def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None):
-    """Window fixed space F of the action, and F ∩ m_hat.
+def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None) -> Subspace:
+    """Window fixed space F of the action, or F ∩ m_hat given m_hat.
 
     F is cut out by exact linear conditions: for every generator and
     every tap write that lands below t^hi — including below the window
     floor — the written coefficient (a sum of in-window reads) must
-    vanish.  Returns the pair (F, F ∩ m_hat); with no m_hat the second
-    component is F itself.  F ∩ m_hat is solved in m_hat's coordinates:
+    vanish.  F ∩ m_hat is solved in m_hat's coordinates, without F:
     c*K with K the basis of m_hat lies in F iff rows*K^T*c = 0, so no
     matrix formed exceeds max(#rows, w.dim) on a side; as in
     Subspace.intersect, the product of the two canonical bases is
@@ -305,15 +304,13 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None):
     """
     rows = fixed_condition_rows(a, w)
     rows = np.array(rows, dtype=np.int64).reshape(len(rows), w.dim)
+    if m_hat is not None:
+        k = m_hat.basis.a
+        coeffs = kernel(FpMatrix(w.p, rows @ k.T)).basis.a
+        return Subspace(w.p, w.dim, FpMatrix(w.p, coeffs @ k))
     if rows.shape[0]:
-        f = kernel(FpMatrix(w.p, rows))
-    else:
-        f = Subspace.full(w.p, w.dim)
-    if m_hat is None:
-        return f, f
-    k = m_hat.basis.a
-    coeffs = kernel(FpMatrix(w.p, rows @ k.T)).basis.a
-    return f, Subspace(w.p, w.dim, FpMatrix(w.p, coeffs @ k))
+        return kernel(FpMatrix(w.p, rows))
+    return Subspace.full(w.p, w.dim)
 
 
 def _coord_valuation(row: np.ndarray, w: LatticeWindow) -> int:
@@ -381,7 +378,7 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
             f"precision {n} not representable on window [{w.lo},{w.hi})",
             suggestion=_retry_suggestion(w),
         )
-    _, meet = fixed_vectors(a, w, chain.m_hat)
+    meet = fixed_vectors(a, w, chain.m_hat)
     if meet.dim == 0:
         raise EmptyFixedSpace(
             f"no nonzero fixed vectors inside m_hat on window [{w.lo},{w.hi})",

@@ -133,7 +133,7 @@ def test_criterion_4_certified_fixed_points_for_bundled_families(tmp_path, capsy
             box = report["result"]["chain"]["window"]
             lo, hi = box["lo"], box["hi"]
             w = LatticeWindow(lo, hi, a.d, a.p)
-            f, _ = fixed_vectors(a, w)
+            f = fixed_vectors(a, w)
             rows = [
                 np.eye(w.dim, dtype=np.int64)[w.index(2, e)] for e in range(lo, hi)
             ]

@@ -228,6 +228,23 @@ def test_broken_yaml_exits_three(tmp_path, capsys):
     assert "not valid YAML" in err
 
 
+def test_config_that_is_not_utf8_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "binary.yaml"
+    cfg.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 3
+    assert "cannot read config" in err
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])  # no such directory; a directory
+def test_unwritable_report_exits_three(tmp_path, capsys, target):
+    cfg = family_config(tmp_path, capsys, "tap")
+    for argv in (["validate", "--config", str(cfg)], ["gen-example", "tap"]):
+        code, _, err = run(capsys, *argv, "--json", str(tmp_path / target))
+        assert code == 3, argv
+        assert "cannot write" in err
+
+
 def test_missing_subcommand_exits_three(capsys):
     with pytest.raises(SystemExit) as info:
         console_main([])
@@ -515,6 +532,30 @@ def test_window_beyond_dimension_cap_is_limit_exceeded(tmp_path, capsys):
     report = load_report(rpt)
     assert report["status"] == "validation-failure"
     assert report["reason"] == "limit-exceeded"
+
+
+@pytest.mark.parametrize(
+    "command, seed, extra",
+    [
+        # a sampled series spans past the exponent cap
+        ("validate", "{in: [1, 0], out: [2, 0], coeff: 1}", "precision: 10000000\n"),
+        # a sampled vector does (in: [1, 999999] alone spends 25 s certifying the seed)
+        ("validate", "{in: [1, 999999], out: [2, 999999], coeff: 1}", ""),
+        # the config check refuses these before the seed is certified
+        ("find-fixed", "{in: [1, 1000001], out: [2, 0], coeff: 1}", ""),
+        ("validate", "{in: [1, 1000000000], out: [2, 0], coeff: 1}", ""),
+        ("invariant-chain", "{in: [1, 0], out: [2, -1000001], coeff: 1}", ""),
+    ],
+)
+def test_exponent_beyond_the_cap_is_limit_exceeded(tmp_path, capsys, command, seed, extra):
+    cfg = tmp_path / "far.yaml"
+    cfg.write_text(f"p: 2\nd: 2\n{extra}seed:\n  - {seed}\n")
+    rpt = tmp_path / "far.json"
+    code, _, err = run(capsys, command, "--config", str(cfg), "--json", str(rpt))
+    assert code == 1, err
+    assert "limit-exceeded" in err and "1000000" in err
+    report = load_report(rpt)
+    assert (report["status"], report["reason"]) == ("validation-failure", "limit-exceeded")
 
 
 # ---------------------------------------------------------------- params

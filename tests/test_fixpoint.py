@@ -331,7 +331,7 @@ def test_chain_to_dict_is_json_shaped():
 def test_fixed_vectors_trivial_action_is_everything():
     a = mk_action(*TRIVIAL)
     w = LatticeWindow(0, 3, d=1, p=2)
-    f, meet = fixed_vectors(a, w)
+    f = meet = fixed_vectors(a, w)
     assert f == Subspace.full(2, w.dim)
     assert meet == window_b_image(w)
 
@@ -340,7 +340,7 @@ def test_fixed_vectors_tap_families_pin_first_component():
     for fam in (TAP, DROP):
         a = mk_action(*fam)
         w = LatticeWindow(0, 3, d=2, p=2)
-        f, _ = fixed_vectors(a, w)
+        f = fixed_vectors(a, w)
         expect = Subspace.from_rows(
             2,
             w.dim,
@@ -353,7 +353,7 @@ def test_fixed_vectors_meet_respects_supplied_m_hat():
     a = mk_action(*TAP)
     w = LatticeWindow(0, 3, d=2, p=2)
     tiny = Subspace.from_rows(2, w.dim, [np.eye(w.dim, dtype=np.int64)[w.index(2, 1)]])
-    _, meet = fixed_vectors(a, w, m_hat=tiny)
+    meet = fixed_vectors(a, w, m_hat=tiny)
     assert meet == tiny
 
 
@@ -366,7 +366,7 @@ def test_fixed_vectors_meet_matches_intersect_on_random_chains():
         w = default_window(a, rng.randint(2, 5), l_max)
         chain = m_ell_chain(a, l_max, w)
         for m_hat in chain.subspaces + (window_b_image(w, floor=1),):
-            f, meet = fixed_vectors(a, w, m_hat)
+            f, meet = fixed_vectors(a, w), fixed_vectors(a, w, m_hat)
             expected = f.intersect(m_hat)
             assert meet.basis.a.tobytes() == expected.basis.a.tobytes()
             assert meet == expected
@@ -377,7 +377,7 @@ def test_fixed_vectors_meet_on_a_window_whose_codims_sum_past_the_cap():
     # both sets of constraint rows (608) would pass 512.
     a = mk_action(*TAP)
     w = LatticeWindow(-200, 4, d=2, p=2)
-    _, meet = fixed_vectors(a, w, window_b_image(w, floor=2))
+    meet = fixed_vectors(a, w, window_b_image(w, floor=2))
     assert meet.dim == 2
 
 
