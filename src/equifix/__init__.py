@@ -20,6 +20,7 @@ from .errors import (
     InsufficientPrecision,
     InvalidQuotient,
     LimitExceeded,
+    LMaxTooSmall,
     NonCommuting,
     NotOrderP,
     OutsideWindow,

@@ -13,8 +13,8 @@ Configs are YAML with keys p, d, seed (a list of
 label, precision, l_max, n_max, window ("lo:hi" or [lo, hi]) and
 rng_seed.  Any other key, and an integer field holding anything but a
 YAML integer, is a parse error.  Flags override config values.  Exit
-codes: 0 success, 1 validation failure, 2 soft window failure, 3 I/O
-or usage error.
+codes: 0 success, 1 validation failure, 2 soft failure (window,
+precision or l_max too small), 3 I/O or usage error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import (
     ExponentOverflow,
     InsufficientPrecision,
     LimitExceeded,
+    LMaxTooSmall,
     NonCommuting,
     NotOrderP,
     WindowTooNarrow,
@@ -377,6 +378,8 @@ def _classify(exc: Exception) -> tuple[int, str, str]:
         return 2, "window-too-small", "window-too-narrow"
     if isinstance(exc, InsufficientPrecision):
         return 2, "window-too-small", "insufficient-precision"
+    if isinstance(exc, LMaxTooSmall):
+        return 2, "window-too-small", "l-max-too-small"
     raise exc
 
 
@@ -400,14 +403,39 @@ def _policy_suggestion(action: Action, params: dict, tried: dict | None) -> str 
     return f"retry with window [{retry.lo},{retry.hi})"
 
 
+# How many larger l_max values an l-max-too-small failure tries, each a
+# full run of the command, before it gives up on a suggestion.
+L_MAX_TRIES = 8
+
+
+def _l_max_suggestion(command: str, action: Action, params: dict) -> str | None:
+    """The smallest larger l_max (at most L_MAX_TRIES above) on which the
+    command runs, with its window resolved as _run resolves it."""
+    compute, policy_window = COMMANDS[command]
+    for l_max in range(params["l_max"] + 1, params["l_max"] + 1 + L_MAX_TRIES):
+        trial = dict(params, l_max=l_max)
+        try:
+            *_, reason = compute(action, trial, _window(action, trial, policy_window), False)
+        except LMaxTooSmall:
+            continue
+        except EquifixError:  # e.g. an explicit window too narrow for the depth
+            return None
+        return f"retry with l_max {l_max}" if reason is None else None
+    return None
+
+
 def _fail(args, command, action_dict, params_dict, exc, action=None, params=None) -> int:
     """Emit the failure report.  Given the action and the run's params, a
-    soft failure without a suggestion of its own gets the policy's."""
+    soft failure without a suggestion of its own gets the policy's: a
+    larger l_max for l-max-too-small, else a window."""
     code, status, reason = _classify(exc)
     result = {"message": str(exc)}
     suggestion = getattr(exc, "suggestion", None)
     if not suggestion and code == 2 and action is not None:
-        suggestion = _policy_suggestion(action, params, params_dict["window"])
+        if isinstance(exc, LMaxTooSmall):
+            suggestion = _l_max_suggestion(command, action, params)
+        else:
+            suggestion = _policy_suggestion(action, params, params_dict["window"])
     if suggestion:
         result["suggestion"] = suggestion
     witness_power = getattr(exc, "witness_power", None)
@@ -573,6 +601,16 @@ COMMANDS = {
 }
 
 
+def _window(action: Action, params: dict, policy_window: bool | None) -> LatticeWindow | None:
+    """The window a command runs on (see COMMANDS)."""
+    if policy_window is not None and params["window"] is not None:
+        return LatticeWindow(*params["window"], action.d, action.p)
+    if policy_window:
+        return default_window(action, params["precision"], params["l_max"],
+                              n_max=params.get("n_max", 0))
+    return None
+
+
 def _run(args, command: str) -> int:
     """The route of every COMMANDS entry: load and check the config,
     build the action, resolve the window, compute, then record the oracle
@@ -587,14 +625,10 @@ def _run(args, command: str) -> int:
         return _fail(args, command, _fallback_action_dict(data), {"window": None}, exc)
     action_dict = _action_dict(spec)
     report_params = _params_for_report(params, None)
-    action = window = None
+    action = None
     try:
         action = build_action(spec)
-        if policy_window is not None and params["window"] is not None:
-            window = LatticeWindow(*params["window"], action.d, action.p)
-        elif policy_window:
-            window = default_window(action, params["precision"], params["l_max"],
-                                    n_max=params.get("n_max", 0))
+        window = _window(action, params, policy_window)
         report_params = _params_for_report(params, window)
         result, human, check, reason = compute(action, params, window, args.oracle)
     except EquifixError as exc:

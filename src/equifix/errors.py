@@ -84,5 +84,9 @@ class BudgetExceeded(EquifixError, RuntimeError):
     """Brute-force enumeration would exceed the configured budget."""
 
 
+class LMaxTooSmall(EquifixError, RuntimeError):
+    """The chain has not stabilized by l_max (t * m_hat escapes m_hat); raise l_max."""
+
+
 class ChainInvariantViolation(EquifixError, RuntimeError):
     """A property the construction guarantees failed to hold; report as a bug."""

@@ -2,15 +2,19 @@
 
 The pipeline realized here, all in exact window coordinates:
 
-  1. Close the constraint rows of the lattice image under right
-     multiplication by the visible generators, in one spin-up that
-     lives for the whole chain: depth 0 adds g_0 .. g_{T-1}, depth ell
-     adds only g_{-ell}, and M̂_ell is the kernel of the closed row
-     space after depth ell, the largest subspace of the lattice image
-     that every generator up to that depth maps onto itself.  The
-     closure never stacks more rows than the window dimension.  The
-     members form a descending chain whose intersection m_hat is stable
-     under multiplication by t.
+  1. Close the constraint rows of the lattice image (the unit rows of
+     the exponents below 0) under right multiplication by the visible
+     generators, in one spin-up that lives for the whole chain: depth 0
+     adds g_0 .. g_{T-1}, depth ell adds only g_{-ell}, and M̂_ell is the
+     kernel of the closed row space after depth ell, the largest
+     subspace of the lattice image that every generator up to that
+     depth maps onto itself.  The closed rows are kept in canonical
+     RREF over reversed columns, which is exactly what the one
+     elimination of linalg.kernel produces, so each member is read off
+     them with no elimination.  The closure never stacks more rows than
+     the window dimension.  The members form a descending chain whose
+     intersection m_hat is stable under multiplication by t once l_max
+     reaches the depth where the chain stabilizes.
   2. Intersect the window fixed space with m_hat, pick a deterministic
      nonzero witness (preferring one outside t*m_hat), and re-verify it
      from scratch by applying the action to the lifted series vector.
@@ -39,6 +43,7 @@ from .errors import (
     InsufficientPrecision,
     InvalidQuotient,
     LimitExceeded,
+    LMaxTooSmall,
     SingularGenerator,
     WindowTooNarrow,
 )
@@ -54,6 +59,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     kernel,
+    kernel_from_reversed_rref,
     map_image,
     quotient,
     rref,
@@ -97,9 +103,28 @@ def shift_matrix(w: LatticeWindow) -> FpMatrix:
     return monomial_transfer(w, w, 1)
 
 
+def _times_t(rows: np.ndarray, w: LatticeWindow) -> np.ndarray:
+    """rows @ shift_matrix(w).T, by moving each component's coefficients
+    up one exponent and dropping the top one."""
+    blocks = rows.reshape(rows.shape[0], w.d, w.width)
+    out = np.zeros_like(blocks)
+    out[:, :, 1:] = blocks[:, :, :-1]
+    return out.reshape(rows.shape)
+
+
 class _SpinUp:
     """Smallest row space R containing every row added, with R*g ⊆ R for
-    every generator added; R is kept as canonical RREF rows.
+    every generator added.
+
+    R is kept as the canonical RREF rows of R*P, P the permutation that
+    reverses the columns, with their pivot columns: rows and generators
+    enter as r*P and P*g*P, and R*g ⊆ R iff (R*P)(P*g*P) ⊆ R*P, so the
+    closure below runs unchanged in reversed coordinates.  The RREF of
+    R*P is what linalg.kernel eliminates R to, so kernel() is the
+    canonical basis of ker R read off with no elimination.  A row
+    space that starts as unit rows is already canonical (sorted by
+    pivot) and is set directly.  R is replaced on every merge, never
+    written in place, so a reference to `rows` is a snapshot.
 
     The closure is semi-naive: a generator entering multiplies the rows
     already in R once, and each block of rows entering R is multiplied
@@ -127,21 +152,23 @@ class _SpinUp:
         elimination of R.
     """
 
-    def __init__(self, w: LatticeWindow):
+    def __init__(self, w: LatticeWindow, units=()):
+        """Start R as the span of the unit rows e_i, i in units."""
         self.w = w
-        self.rows = np.zeros((0, w.dim), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.int64)
+        self.pivots = np.sort(w.dim - 1 - np.asarray(units, dtype=np.int64))
+        self.rows = np.eye(w.dim, dtype=np.int64)[self.pivots]
         self.gens: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add_generator(self, m: FpMatrix) -> None:
         n, p = self.w.dim, self.w.p
         if m.p != p or m.shape != (n, n):
             raise DimensionMismatch("generator does not act on the window")
-        taps = m.a.copy()
+        g = m.a[::-1, ::-1]
+        taps = g.copy()
         taps[np.diag_indices(n)] -= 1
         taps %= p
         cols = np.flatnonzero(taps.any(axis=0))
-        if cols.size and rref(FpMatrix(p, m.a[np.ix_(cols, cols)])).rank != cols.size:
+        if cols.size and rref(FpMatrix(p, g[np.ix_(cols, cols)])).rank != cols.size:
             raise SingularGenerator("generator is singular on the window")
         rows = np.flatnonzero(taps.any(axis=1))
         gen = (rows, cols, taps[np.ix_(rows, cols)])
@@ -149,10 +176,10 @@ class _SpinUp:
         self._close(self.rows, [gen])
 
     def add_rows(self, rows: np.ndarray) -> None:
-        self._close(self._absorb(rows), self.gens)
+        self._close(self._absorb(rows[:, ::-1]), self.gens)
 
     def kernel(self) -> Subspace:
-        return kernel(FpMatrix(self.w.p, self.rows))
+        return kernel_from_reversed_rref(self.w.p, self.rows, self.pivots)
 
     def _close(self, block: np.ndarray, gens) -> None:
         work = [(block, gens)]
@@ -248,17 +275,27 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     One spin-up serves every depth (see max_invariant_subspace for why
     its kernel is M̂_ell), so each generator is checked and applied once.
 
-    Raises ChainInvariantViolation if nesting, shell intersection, or
-    t-stability of the intersection fails — for certified actions these
-    hold, so a failure signals a bug (or a window far too narrow).
+    Raises WindowTooNarrow up front for a window without exponent 0 (the
+    shell every member must meet), and LMaxTooSmall when t * m_hat
+    escapes m_hat, i.e. l_max is below the depth where the chain
+    stabilizes.  Raises ChainInvariantViolation if a member leaves the
+    lattice image or misses the shell, the chain fails to nest, or the
+    intersection is not the deepest member — for certified actions these
+    hold, so a failure signals a bug.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
+    if w.lo > 0 or w.hi <= 0:
+        raise WindowTooNarrow(
+            f"window [{w.lo},{w.hi}) leaves out exponent 0, where every member meets the shell"
+        )
     b_img = window_b_image(w)
     t_b_img = window_b_image(w, floor=1)
-    spin = _SpinUp(w)
-    spin.add_rows(b_img.constraints().a)
+    # The constraint rows of the lattice image: the unit rows of the
+    # exponents below 0.
+    spin = _SpinUp(w, [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)])
     subs: list[Subspace] = []
+    cuts: list[np.ndarray] = []  # R after each depth, in window coordinates
     for ell in range(l_max + 1):
         # The generators up to depth ell are g_{-ell} .. g_{T-1}: depth 0
         # builds g_0 .. g_{T-1} and depth ell only g_{-ell}, so each is
@@ -276,18 +313,26 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         if subs and not subs[-1].contains(sub):
             raise ChainInvariantViolation(f"chain fails to nest at depth {ell}")
         subs.append(sub)
+        cuts.append(spin.rows[:, ::-1])
     m_hat = subs[0]
-    for sub in subs[1:]:
-        m_hat = m_hat.intersect(sub)
+    for rows in cuts[1:]:  # M̂_ell = ker R_ell, so each depth cuts by R_ell
+        m_hat = m_hat.cut(rows)
     if m_hat != subs[-1]:  # intersection of a nested chain is its last member
         raise ChainInvariantViolation("intersection disagrees with the deepest member")
-    shifted = map_image(shift_matrix(w), m_hat)
-    if not m_hat.contains(shifted):
-        raise ChainInvariantViolation("t * m_hat is not contained in m_hat")
+    if not _t_stable(m_hat, w):
+        raise LMaxTooSmall(
+            f"t * m_hat is not contained in m_hat: the chain has not stabilized by l_max = {l_max}"
+        )
     l_stable = l_max
     while l_stable > 0 and subs[l_stable - 1] == subs[l_max]:
         l_stable -= 1
     return InvariantChain(a, w, tuple(subs), m_hat, l_stable)
+
+
+def _t_stable(m_hat: Subspace, w: LatticeWindow) -> bool:
+    """Whether t * m_hat ⊆ m_hat: a pivot read-off of the raw images of
+    m_hat's basis, with no canonical basis of t * m_hat built."""
+    return m_hat.spans(_times_t(m_hat.basis.a, w))
 
 
 def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None) -> Subspace:
@@ -296,18 +341,13 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None) ->
     F is cut out by exact linear conditions: for every generator and
     every tap write that lands below t^hi — including below the window
     floor — the written coefficient (a sum of in-window reads) must
-    vanish.  F ∩ m_hat is solved in m_hat's coordinates, without F:
-    c*K with K the basis of m_hat lies in F iff rows*K^T*c = 0, so no
-    matrix formed exceeds max(#rows, w.dim) on a side; as in
-    Subspace.intersect, the product of the two canonical bases is
-    canonical as it stands.
+    vanish.  F ∩ m_hat is m_hat cut by those conditions (Subspace.cut),
+    solved in m_hat's coordinates without F.
     """
     rows = fixed_condition_rows(a, w)
     rows = np.array(rows, dtype=np.int64).reshape(len(rows), w.dim)
     if m_hat is not None:
-        k = m_hat.basis.a
-        coeffs = kernel(FpMatrix(w.p, rows @ k.T)).basis.a
-        return Subspace(w.p, w.dim, FpMatrix(w.p, coeffs @ k))
+        return m_hat.cut(rows)
     if rows.shape[0]:
         return kernel(FpMatrix(w.p, rows))
     return Subspace.full(w.p, w.dim)
@@ -384,7 +424,7 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
             f"no nonzero fixed vectors inside m_hat on window [{w.lo},{w.hi})",
             suggestion=_retry_suggestion(w, " or larger l_max"),
         )
-    t_m_hat = map_image(shift_matrix(w), chain.m_hat)
+    t_m_hat = Subspace.from_rows(w.p, w.dim, _times_t(chain.m_hat.basis.a, w))
     rows = list(meet.basis.a)
     outside = [r for r in rows if not t_m_hat.contains_vector(r)]
     pool = outside if outside else rows

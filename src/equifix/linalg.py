@@ -192,21 +192,30 @@ def rref(m: FpMatrix) -> RrefResult:
 def kernel(m: FpMatrix) -> "Subspace":
     """Null space {v : m @ v = 0} as a canonical Subspace.
 
-    One elimination, of m with its columns reversed.  In reversed
-    coordinates the null vector of free column f' is e_f' minus pivot
-    columns left of f'; read back in the original order, the vector of
-    free column f is 1 at f and nonzero elsewhere only at pivot columns
-    right of f.  So the vectors, taken by ascending f, lead at distinct
-    free columns and vanish at every other free column: they already
-    are the canonical RREF basis, and no second elimination is needed.
+    One elimination, of m with its columns reversed, then the read-off
+    of kernel_from_reversed_rref.
     """
-    p, n = m.p, m.cols
-    red = rref(FpMatrix(p, m.a[:, ::-1]))
-    pivots = list(red.pivots)
+    red = rref(FpMatrix(m.p, m.a[:, ::-1]))
+    return kernel_from_reversed_rref(m.p, red.matrix.a[: red.rank], red.pivots)
+
+
+def kernel_from_reversed_rref(p: int, rows: np.ndarray, pivots) -> "Subspace":
+    """Null space of m, read off the canonical RREF rows (and their pivot
+    columns) of m with its columns reversed; nothing is eliminated.
+
+    In reversed coordinates the null vector of free column f' is e_f'
+    minus pivot columns left of f'; read back in the original order, the
+    vector of free column f is 1 at f and nonzero elsewhere only at pivot
+    columns right of f.  So the vectors, taken by ascending f, lead at
+    distinct free columns and vanish at every other free column: they
+    already are the canonical RREF basis.
+    """
+    n = rows.shape[1]
+    pivots = list(pivots)
     free = np.delete(np.arange(n), pivots)
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[:, free] = np.eye(free.size, dtype=np.int64)
-    basis[:, pivots] = (-red.matrix.a[: red.rank, free].T) % p
+    basis[:, pivots] = (-rows[:, free].T) % p
     return Subspace(p, n, FpMatrix(p, basis[::-1, ::-1]))
 
 
@@ -258,7 +267,7 @@ class Subspace:
         vec = as_vector(self.p, v)
         if vec.shape[0] != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return self._spans(vec[None, :])
+        return self.spans(vec[None, :])
 
     def coordinates(self, v) -> np.ndarray:
         """Coefficients of v against the canonical basis (v must be a member)."""
@@ -269,11 +278,11 @@ class Subspace:
         return vec[list(pivots)] if pivots else np.zeros(0, dtype=np.int64)
 
     def contains(self, other: "Subspace") -> bool:
-        """Whether other is contained in self (a pivot read-off, see _spans)."""
+        """Whether other is contained in self (a pivot read-off, see spans)."""
         self._check_compatible(other)
-        return self._spans(other.basis.a)
+        return self.spans(other.basis.a)
 
-    def _spans(self, vecs: np.ndarray) -> bool:
+    def spans(self, vecs: np.ndarray) -> bool:
         """Whether every row of vecs lies in self, with no elimination: o
         lies in the span of the canonical basis B with pivot columns piv
         iff o - o[piv]*B = 0, since o[piv]*B is the only member of the
@@ -292,18 +301,25 @@ class Subspace:
         return ker.basis
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """self ∩ other, solved in self's coordinates.
-
-        c*B (B the basis of self) lies in other iff C*B^T*c = 0, with C
-        the constraints of other, so the meet is K*B for K the canonical
-        basis of kernel(C*B^T).  A product of RREF matrices is RREF: row
-        i of K*B leads at B's pivot pivK[i] and vanishes at the other
-        pivots B[pivK], so K*B is canonical as it stands.  No matrix
-        formed exceeds n on a side.
-        """
+        """self ∩ other: self cut by the constraints of other."""
         self._check_compatible(other)
+        return self.cut(other.constraints().a)
+
+    def cut(self, rows: np.ndarray) -> "Subspace":
+        """{v in self : rows @ v = 0}, solved in self's coordinates.
+
+        c*B (B the basis of self) satisfies the rows iff rows*B^T*c = 0,
+        so the result is K*B for K the canonical basis of
+        kernel(rows*B^T).  A product of RREF matrices is RREF: row i of
+        K*B leads at B's pivot pivK[i] and vanishes at the other pivots
+        B[pivK], so K*B is canonical as it stands.  No matrix formed
+        exceeds max(#rows, n) on a side.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
+            raise DimensionMismatch("rows do not act on the ambient space")
         b = self.basis.a
-        coeffs = kernel(FpMatrix(self.p, other.constraints().a @ b.T)).basis.a
+        coeffs = kernel(FpMatrix(self.p, rows @ b.T)).basis.a
         return Subspace(self.p, self.ambient_dim, FpMatrix(self.p, coeffs @ b))
 
     def __eq__(self, other) -> bool:

@@ -115,6 +115,29 @@ def count_subspaces(p: int, dim: int, k: int) -> int:
     return num // den
 
 
+def _rref_bases(p: int, dim: int, budget: EnumerationBudget):
+    """Yield the canonical RREF basis array of every subspace of F_p^dim
+    once, in the order of enumerate_subspaces."""
+    total = sum(count_subspaces(p, dim, k) for k in range(dim + 1))
+    if total > budget.max_subspaces:
+        raise BudgetExceeded(f"{total} subspaces exceeds budget {budget.max_subspaces}")
+    yield np.zeros((0, dim), dtype=np.int64)
+    for k in range(1, dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            # Free positions: to the right of each pivot, skipping later
+            # pivot columns.
+            free = [(r, c) for r, pc in enumerate(pivots)
+                    for c in range(pc + 1, dim) if c not in pivots]
+            free_rows = [r for r, _ in free]
+            free_cols = [c for _, c in free]
+            base = np.zeros((k, dim), dtype=np.int64)
+            base[range(k), pivots] = 1
+            for fill in itertools.product(range(p), repeat=len(free)):
+                m = base.copy()
+                m[free_rows, free_cols] = fill
+                yield m
+
+
 def enumerate_subspaces(p: int, dim: int, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield every subspace of F_p^dim once, as canonical Subspace objects.
 
@@ -123,30 +146,11 @@ def enumerate_subspaces(p: int, dim: int, budget: EnumerationBudget = DEFAULT_BU
     No Gaussian elimination happens, so agreement of the count with
     count_subspaces is a real check on both sides.
     """
-    total = sum(count_subspaces(p, dim, k) for k in range(dim + 1))
-    if total > budget.max_subspaces:
-        raise BudgetExceeded(f"{total} subspaces exceeds budget {budget.max_subspaces}")
-    yield Subspace(p, dim, FpMatrix(p, np.zeros((0, dim), dtype=np.int64)))
-    for k in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            # Free positions: to the right of each pivot, skipping later
-            # pivot columns.
-            free: list[tuple[int, int]] = []
-            for r, pc in enumerate(pivots):
-                for c in range(pc + 1, dim):
-                    if c not in pivots:
-                        free.append((r, c))
-            base = np.zeros((k, dim), dtype=np.int64)
-            for r, pc in enumerate(pivots):
-                base[r, pc] = 1
-            for fill in itertools.product(range(p), repeat=len(free)):
-                m = base.copy()
-                for (r, c), value in zip(free, fill):
-                    m[r, c] = value
-                # Already in reduced echelon form by construction, so the
-                # raw constructor is safe (and keeps elimination out of
-                # this code path).
-                yield Subspace(p, dim, FpMatrix(p, m))
+    for m in _rref_bases(p, dim, budget):
+        # Already in reduced echelon form by construction, so the raw
+        # constructor is safe (and keeps elimination out of this code
+        # path).
+        yield Subspace(p, dim, FpMatrix(p, m))
 
 
 def brute_max_invariant(
@@ -159,9 +163,10 @@ def brute_max_invariant(
     """Largest subspace of `ambient` mapped into itself by every generator.
 
     Walks the subspaces of the ambient as C·B, for every RREF coefficient
-    matrix C from enumerate_subspaces(p, ambient.dim) and the ambient's
-    RREF basis B; C·B is RREF with pivots pivB[pivC], so it is canonical
-    without elimination.  A subspace b with pivots piv is invariant when
+    matrix C with ambient.dim columns (the raw arrays behind
+    enumerate_subspaces: no FpMatrix or Subspace is built per subspace)
+    and the ambient's RREF basis B; C·B is RREF with pivots pivB[pivC],
+    so it is canonical without elimination.  A subspace b with pivots piv is invariant when
     the images `imgs` of its rows under every generator satisfy
     imgs - imgs[:, piv]·b = 0 (mod p).  Returns the invariant subspace of
     top dimension, verifying along the way that it contains every other
@@ -178,8 +183,8 @@ def brute_max_invariant(
     # Row i of b @ act holds the images of b's row i under every generator.
     act = np.hstack([g.T for g in gens]) if gens else np.zeros((dim, 0), dtype=np.int64)
     invariant: list[np.ndarray] = []
-    for c in enumerate_subspaces(p, ambient.dim, budget):
-        b = c.basis.a @ span % p
+    for c in _rref_bases(p, ambient.dim, budget):
+        b = c @ span % p
         imgs = (b @ act).reshape(len(b) * len(gens), dim)
         if _in_span(imgs, b, _leading(b), p):
             invariant.append(b)

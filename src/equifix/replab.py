@@ -88,7 +88,7 @@ def fixed_space(rep: FiniteRep) -> Subspace:
     ident = FpMatrix.identity(rep.p, rep.dim)
     space = Subspace.full(rep.p, rep.dim)
     for g in rep.generators:
-        space = space.intersect(kernel(g - ident))
+        space = space.cut((g - ident).a)
     return space
 
 

@@ -607,3 +607,49 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
             outs.append(out)
         assert outs[0] == outs[1]
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command", ["find-fixed", "invariant-chain"])
+@pytest.mark.parametrize("window", [(3, 4), (-4, -3)])
+def test_window_without_exponent_zero_is_a_soft_failure(tmp_path, capsys, how, command, window):
+    cfg = family_config(tmp_path, capsys, "trivial")
+    lo, hi = window
+    flags = []
+    if how == "flag":
+        flags = [f"--window={lo}:{hi}"]
+    else:
+        cfg.write_text(cfg.read_text() + f"window: [{lo}, {hi}]\n")
+    rpt = tmp_path / "no-zero.json"
+    code, _, err = run(capsys, command, "--config", str(cfg), *flags, "--json", str(rpt))
+    assert code == 2, err
+    report = load_report(rpt)
+    assert report["status"] == "window-too-small"
+    assert report["reason"] == "window-too-narrow"
+    assert "leaves out exponent 0" in report["result"]["message"]
+    suggestion = report["result"]["suggestion"]
+    lo, hi = suggestion.removeprefix("retry with window [").removesuffix(")").split(",")
+    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={lo}:{hi}")
+    assert code == 0, (suggestion, err)
+
+
+LMAX_CONFIG = "p: 5\nd: 3\nseed:\n  - {in: [3, 2], out: [1, -2], coeff: 4}\n"
+
+
+@pytest.mark.parametrize("l_max", ["0", "1"])
+@pytest.mark.parametrize("command", ["find-fixed", "invariant-chain", "lemma-check"])
+def test_l_max_below_the_stabilizing_depth_is_a_soft_failure(tmp_path, capsys, command, l_max):
+    cfg = tmp_path / "lmax.yaml"
+    cfg.write_text(LMAX_CONFIG)
+    rpt = tmp_path / "lmax.json"
+    code, _, err = run(capsys, command, "--config", str(cfg), "--l-max", l_max, "--json", str(rpt))
+    assert code == 2, err
+    report = load_report(rpt)
+    assert report["status"] == "window-too-small"
+    assert report["reason"] == "l-max-too-small"
+    assert "t * m_hat is not contained in m_hat" in report["result"]["message"]
+    suggestion = report["result"]["suggestion"]
+    assert suggestion == "retry with l_max 2"
+    code, _, err = run(capsys, command, "--config", str(cfg), "--l-max",
+                       suggestion.removeprefix("retry with l_max "))
+    assert code == 0, err

@@ -20,6 +20,7 @@ from equifix.errors import (
     ChainInvariantViolation,
     DimensionMismatch,
     EmptyFixedSpace,
+    LMaxTooSmall,
     SingularGenerator,
     WindowTooNarrow,
 )
@@ -577,6 +578,19 @@ def test_chain_eliminations_stay_within_budget(monkeypatch):
     assert len(calls) <= 300
 
 
+def test_chain_eliminations_stay_within_the_read_off_budget(monkeypatch):
+    """Members, the lattice image's constraint rows and the t-stability
+    check are read off, so what is eliminated is each generator's changed
+    columns (30 generators here), each block merged into R (none here)
+    and one cut per depth of the intersection fold (12): 42 rref calls,
+    70 when members were eliminated."""
+    shapes = _recording_rref(monkeypatch)
+    a = mk_action(*DROP)
+    chain = m_ell_chain(a, 12, default_window(a, 16, 12))
+    assert chain.window.dim == 60
+    assert len(shapes) <= 45
+
+
 # ------------------------------------------------- generator checks and guards
 
 
@@ -717,3 +731,175 @@ def test_too_narrow_window_fails_at_the_same_depth_with_the_same_message():
             m_ell_chain(a, l_max, w)
         assert str(info.value) == str(expected.value)
         assert "writes below the window floor -3" in str(info.value)
+
+
+# ------------------------------------------- read-offs off the spin-up rows
+
+LMAX_INPUT = (5, 3, [(3, 2, 1, -2, 4)])  # the chain stabilizes at depth 2
+
+
+def _spin_up_by_depth(a, l_max, w):
+    """A chain's spin-up, yielded after each depth."""
+    from equifix.fixpoint import _SpinUp
+
+    spin = _SpinUp(w, [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)])
+    for ell in range(l_max + 1):
+        for _, m in generator_matrices(a, ell, w, stop=None if ell == 0 else 1 - ell):
+            spin.add_generator(m)
+        yield spin
+
+
+def _assert_spin_kernel_is_the_eliminated_kernel(a, l_max, w):
+    from equifix.linalg import kernel
+
+    for spin in _spin_up_by_depth(a, l_max, w):
+        rows = spin.rows[:, ::-1]  # R in window coordinates
+        assert np.array_equal(spin.kernel().basis.a, kernel(FpMatrix(w.p, rows)).basis.a)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_spin_up_kernel_is_the_eliminated_kernel_on_bundled_families(name):
+    a = mk_action(*FAMILIES[name])
+    for precision, l_max in ((4, 3), (8, 6)):
+        _assert_spin_kernel_is_the_eliminated_kernel(a, l_max, default_window(a, precision, l_max))
+
+
+def test_spin_up_kernel_is_the_eliminated_kernel_on_random_actions():
+    rng = random.Random(909)
+    for trial in range(15):
+        p = [2, 3, 5][trial % 3]
+        a = random_valid_action(rng, p, rng.randint(2, 3))
+        l_max = rng.randint(0, 4)
+        w = default_window(a, rng.randint(2, 5), l_max)
+        _assert_spin_kernel_is_the_eliminated_kernel(a, l_max, w)
+
+
+def test_spin_up_rows_added_after_generators_read_off_the_same_kernel():
+    # max_invariant_subspace's route: generators first, then arbitrary rows.
+    from equifix.fixpoint import _SpinUp
+    from equifix.linalg import kernel
+
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        a = random_valid_action(rng, p, 2)
+        w = default_window(a, 3, 2)
+        spin = _SpinUp(w)
+        for _, m in generator_matrices(a, 2, w):
+            spin.add_generator(m)
+        spin.add_rows(np.array([[rng.randrange(p) for _ in range(w.dim)] for _ in range(3)]))
+        assert np.array_equal(spin.kernel().basis.a,
+                              kernel(FpMatrix(p, spin.rows[:, ::-1])).basis.a)
+
+
+def _raising_rref(monkeypatch):
+    import equifix.fixpoint
+    import equifix.linalg
+
+    def no_rref(m):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(equifix.linalg, "rref", no_rref)
+    monkeypatch.setattr(equifix.fixpoint, "rref", no_rref)
+
+
+def _old_t_stable(m_hat, w):
+    return m_hat.contains(map_image(shift_matrix(w), m_hat))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_spin_up_kernel_and_t_stability_make_no_elimination(monkeypatch, name):
+    from equifix.fixpoint import _t_stable
+
+    a = mk_action(*FAMILIES[name])
+    w = default_window(a, 8, 6)
+    spin = list(_spin_up_by_depth(a, 6, w))[-1]
+    expected = m_ell_chain(a, 6, w).m_hat
+    stable = _old_t_stable(expected, w)
+    b_img = window_b_image(w)
+    _raising_rref(monkeypatch)
+    assert spin.kernel() == expected
+    assert _t_stable(expected, w) is stable is True
+    assert _t_stable(b_img, w) is True
+    # A subspace that is not t-stable: the top coefficient of component 1.
+    top = np.zeros((1, w.dim), dtype=np.int64)
+    top[0, w.index(1, w.hi - 2)] = 1
+    assert _t_stable(Subspace(w.p, w.dim, FpMatrix(w.p, top)), w) is False
+
+
+def test_trivial_chain_at_depth_zero_makes_no_elimination(monkeypatch):
+    a = mk_action(*TRIVIAL)
+    w = default_window(a, 4, 0)
+    _raising_rref(monkeypatch)
+    assert m_ell_chain(a, 0, w).m_hat == window_b_image(w)
+
+
+def test_t_stability_read_off_matches_the_image_containment():
+    from equifix.fixpoint import _t_stable
+
+    rng = random.Random(5)
+    answers = set()
+    for trial in range(60):
+        p = [2, 3, 5][trial % 3]
+        w = LatticeWindow(-rng.randint(0, 2), rng.randint(1, 4), d=rng.randint(1, 3), p=p)
+        k = rng.randint(0, w.dim)
+        rows = [[rng.randrange(p) for _ in range(w.dim)] for _ in range(k)]
+        sub = Subspace.from_rows(p, w.dim, rows)
+        if trial % 2:  # close a random seed under t, so stable cases occur
+            for _ in range(w.dim):
+                rows = sub.basis.a
+                sub = Subspace.from_rows(p, w.dim, np.vstack([rows, rows @ shift_matrix(w).a.T]))
+        answers.add(_t_stable(sub, w))
+        assert _t_stable(sub, w) == _old_t_stable(sub, w)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("tamper", ["unchanged", "zero"])
+def test_intersection_fold_tampered_still_disagrees_with_the_deepest_member(monkeypatch, tamper):
+    a = mk_action(*LMAX_INPUT)
+    w = default_window(a, 4, 2)
+    assert len(set(m_ell_chain(a, 2, w).dims())) == 3
+    if tamper == "unchanged":
+        monkeypatch.setattr(Subspace, "cut", lambda self, rows: self)
+    else:
+        monkeypatch.setattr(Subspace, "cut",
+                            lambda self, rows: Subspace.zero(self.p, self.ambient_dim))
+    with pytest.raises(ChainInvariantViolation,
+                       match="intersection disagrees with the deepest member"):
+        m_ell_chain(a, 2, w)
+
+
+def test_chain_below_its_stabilizing_depth_is_l_max_too_small():
+    a = mk_action(*LMAX_INPUT)
+    for l_max in (0, 1):
+        with pytest.raises(LMaxTooSmall, match="t \\* m_hat is not contained in m_hat") as info:
+            m_ell_chain(a, l_max, default_window(a, 4, l_max))
+        assert not isinstance(info.value, ChainInvariantViolation)
+    chain = m_ell_chain(a, 2, default_window(a, 4, 2))
+    assert chain.dims() == [16, 15, 14] and chain.l_stable == 2
+
+
+def test_find_fixed_point_does_not_widen_for_l_max_too_small(monkeypatch):
+    import equifix.fixpoint
+
+    a = mk_action(*LMAX_INPUT)
+    real = equifix.fixpoint.m_ell_chain
+    windows = []
+
+    def recording_chain(act, l_max, w):
+        windows.append(w)
+        return real(act, l_max, w)
+
+    monkeypatch.setattr(equifix.fixpoint, "m_ell_chain", recording_chain)
+    with pytest.raises(LMaxTooSmall):
+        find_fixed_point(a, 4, 0)
+    assert windows == [default_window(a, 4, 0)]
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 4), (1, 5), (-4, -3), (-4, 0)])
+def test_window_without_exponent_zero_is_too_narrow(lo, hi):
+    for fam in (TRIVIAL, TAP):
+        a = mk_action(*fam)
+        with pytest.raises(WindowTooNarrow, match="leaves out exponent 0") as info:
+            m_ell_chain(a, 1, LatticeWindow(lo, hi, d=a.d, p=a.p))
+        assert info.value.suggestion is None
+

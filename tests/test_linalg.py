@@ -473,3 +473,27 @@ def test_kernel_eliminates_once(monkeypatch):
         del calls[:]
         kernel(m)
         assert calls == [m.shape]
+
+
+@pytest.mark.parametrize("p", READOFF_PRIMES)
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_cut_matches_the_stacked_intersect(p, n):
+    """s.cut(rows) is s ∩ ker(rows), array-equal to the old stacked
+    intersect with the kernel of the rows."""
+    rng = random.Random(2000 + 100 * p + n)
+    subs = readoff_subspaces(p, n, seed=3000 + 100 * p + n)
+    for s in subs:
+        for _ in range(4):
+            k = rng.randint(0, 2 * n)
+            rows = random_rank_matrix(rng, p, k, n, rng.randint(0, max(k, 1)))
+            new, old = s.cut(rows.a), stacked_intersect(s, two_elimination_kernel(rows))
+            assert new.ambient_dim == old.ambient_dim == n
+            assert new.basis.shape == old.basis.shape
+            assert np.array_equal(new.basis.a, old.basis.a)
+
+
+def test_cut_rejects_rows_of_another_width():
+    s = Subspace.full(3, 4)
+    for rows in (np.zeros((2, 5), dtype=np.int64), np.zeros(4, dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            s.cut(rows)

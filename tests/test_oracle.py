@@ -209,3 +209,34 @@ def test_coefficients_times_rref_basis_is_canonical(p, k, n):
     for c in enumerate_subspaces(p, k):
         product = c.basis.a @ b % p
         assert np.array_equal(product, Subspace.from_rows(p, n, product).basis.a)
+
+
+def test_max_invariant_builds_no_matrix_per_enumerated_subspace(monkeypatch):
+    """The walk uses the raw RREF arrays; the only FpMatrix built is the
+    answer's, however many subspaces are enumerated (51 of F_2^4 here)."""
+    import equifix.oracle
+
+    real = equifix.oracle.FpMatrix
+    built = []
+
+    def counting_fp_matrix(p, data):
+        built.append(p)
+        return real(p, data)
+
+    a = np.eye(4, dtype=np.int64)
+    a[0, 1] = 1
+    g = FpMatrix(2, a)
+    expected = brute_max_invariant(2, 4, [g])
+    monkeypatch.setattr(equifix.oracle, "FpMatrix", counting_fp_matrix)
+    assert brute_max_invariant(2, 4, [g]) == expected
+    assert len(built) == 2  # the identity ambient and the answer
+
+
+def test_enumerate_subspaces_wraps_the_raw_bases_in_order():
+    from equifix.oracle import DEFAULT_BUDGET, _rref_bases
+
+    for p, dim in [(2, 0), (2, 3), (3, 2)]:
+        subs = [s.basis.a for s in enumerate_subspaces(p, dim)]
+        raw = list(_rref_bases(p, dim, DEFAULT_BUDGET))
+        assert len(subs) == len(raw)
+        assert all(np.array_equal(s, r) for s, r in zip(subs, raw))
