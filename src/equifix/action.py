@@ -180,11 +180,7 @@ def apply_phi(a: Action, x: LaurentSeries, u: SeriesVector, out_prec: int | None
         raise InsufficientPrecision(
             f"cannot produce precision {target} from operand precision {u.prec}"
         )
-    v = u
-    for k, c in _factors(a, x, target):
-        for _ in range(c):
-            v = a.seed_auto.apply(v, k)
-    return v.truncate(target)
+    return phi(a, x, target).apply(u)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ from .linalg import (
     Subspace,
     kernel,
     kernel_from_reversed_rref,
-    map_image,
     quotient,
     rref,
 )
@@ -79,37 +78,33 @@ def window_b_image(w: LatticeWindow, floor: int = 0) -> Subspace:
     return Subspace(w.p, w.dim, FpMatrix(w.p, np.eye(w.dim, dtype=np.int64)[idx]))
 
 
+def _shift(rows: np.ndarray, src: LatticeWindow, dst: LatticeWindow, n: int) -> np.ndarray:
+    """Rows of src coordinates times t^n, in dst coordinates: each
+    component's coefficients move up n exponents, and those landing
+    outside [dst.lo, dst.hi) are dropped."""
+    lo, hi = max(src.lo, dst.lo - n), min(src.hi, dst.hi - n)
+    out = np.zeros((rows.shape[0], dst.d, dst.width), dtype=np.int64)
+    if lo < hi:
+        blocks = rows.reshape(rows.shape[0], src.d, src.width)
+        out[:, :, lo + n - dst.lo : hi + n - dst.lo] = blocks[:, :, lo - src.lo : hi - src.lo]
+    return out.reshape(rows.shape[0], dst.dim)
+
+
 def monomial_transfer(src: LatticeWindow, dst: LatticeWindow, n: int) -> FpMatrix:
     """Matrix of multiplication by t^n from src coordinates to dst coordinates.
 
     Exponent e goes to e + n; targets outside [dst.lo, dst.hi) are
     dropped, so this is a projection unless every shifted exponent
-    lands inside dst.  Callers that need faithfulness must arrange
-    supports accordingly (they do: lattice elements have exponents
-    >= 0 and the windows used reach low enough).
+    lands inside dst.  It is the shift of the identity's rows.
     """
     if src.p != dst.p or src.d != dst.d:
         raise DimensionMismatch("windows are incompatible")
-    a = np.zeros((dst.dim, src.dim), dtype=np.int64)
-    for c in range(1, src.d + 1):
-        for e in range(src.lo, src.hi):
-            if dst.contains_exp(e + n):
-                a[dst.index(c, e + n), src.index(c, e)] = 1
-    return FpMatrix(src.p, a)
+    return FpMatrix(src.p, _shift(np.eye(src.dim, dtype=np.int64), src, dst, n).T)
 
 
 def shift_matrix(w: LatticeWindow) -> FpMatrix:
     """Multiplication by t on window coordinates (top coefficient truncated)."""
     return monomial_transfer(w, w, 1)
-
-
-def _times_t(rows: np.ndarray, w: LatticeWindow) -> np.ndarray:
-    """rows @ shift_matrix(w).T, by moving each component's coefficients
-    up one exponent and dropping the top one."""
-    blocks = rows.reshape(rows.shape[0], w.d, w.width)
-    out = np.zeros_like(blocks)
-    out[:, :, 1:] = blocks[:, :, :-1]
-    return out.reshape(rows.shape)
 
 
 class _SpinUp:
@@ -332,7 +327,7 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
 def _t_stable(m_hat: Subspace, w: LatticeWindow) -> bool:
     """Whether t * m_hat ⊆ m_hat: a pivot read-off of the raw images of
     m_hat's basis, with no canonical basis of t * m_hat built."""
-    return m_hat.spans(_times_t(m_hat.basis.a, w))
+    return m_hat.spans(_shift(m_hat.basis.a, w, w, 1))
 
 
 def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None) -> Subspace:
@@ -424,7 +419,7 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
             f"no nonzero fixed vectors inside m_hat on window [{w.lo},{w.hi})",
             suggestion=_retry_suggestion(w, " or larger l_max"),
         )
-    t_m_hat = Subspace.from_rows(w.p, w.dim, _times_t(chain.m_hat.basis.a, w))
+    t_m_hat = Subspace.from_rows(w.p, w.dim, _shift(chain.m_hat.basis.a, w, w, 1))
     rows = list(meet.basis.a)
     outside = [r for r in rows if not t_m_hat.contains_vector(r)]
     pool = outside if outside else rows
@@ -498,10 +493,10 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
             f"window floor {w.lo} too high for t^-{n_max} shifts (need <= {-n_max - a.max_in_exp})"
         )
     wp = LatticeWindow(w.lo, h_cut, a.d, a.p)
-    copies = []
-    for n in range(n_max + 1):
-        tau = monomial_transfer(w, wp, -n)
-        copies.append(map_image(tau, chain.m_hat))
+    copies = [
+        Subspace.from_rows(a.p, wp.dim, _shift(chain.m_hat.basis.a, w, wp, -n))
+        for n in range(n_max + 1)
+    ]
     for n in range(n_max):
         if not copies[n + 1].contains(copies[n]):
             raise ChainInvariantViolation(f"t^-{n} copy is not inside the t^-{n + 1} copy")
@@ -519,8 +514,7 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
             gens.append(induced)
     rep = FiniteRep(a.p, q.dim, gens, label=a.spec.label or "lemma-chain")
     nested = tuple(
-        Subspace.from_rows(a.p, q.dim, [q.project(row) for row in copies[n].basis.a])
-        for n in range(1, n_max + 1)
+        Subspace.from_rows(a.p, q.dim, q.project(copies[n].basis.a)) for n in range(1, n_max + 1)
     )
     return LemmaChain(rep, nested, q, wp, n_max)
 

@@ -249,15 +249,26 @@ class Subspace:
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64))
+        """{0}: its canonical basis has no rows."""
+        return cls(p, ambient_dim, FpMatrix(p, np.zeros((0, ambient_dim), dtype=np.int64)))
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
+        """F_p^n: its canonical basis is the identity."""
+        if ambient_dim > MAX_DIM:
+            raise LimitExceeded(f"ambient dimension beyond {MAX_DIM}")
+        return cls(p, ambient_dim, FpMatrix(p, np.eye(ambient_dim, dtype=np.int64)))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @property
+    def pivots(self) -> list[int]:
+        """Pivot column of each basis row: the basis is RREF with no zero
+        rows, so each row's pivot is its first nonzero column."""
+        a = self.basis.a
+        return (a != 0).argmax(axis=1).tolist() if a.size else []
 
     def _check_compatible(self, other: "Subspace"):
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -274,8 +285,7 @@ class Subspace:
         vec = as_vector(self.p, v)
         if not self.contains_vector(vec):
             raise DimensionMismatch("vector is not in the subspace")
-        pivots = _pivots_of_rref(self.basis.a)
-        return vec[list(pivots)] if pivots else np.zeros(0, dtype=np.int64)
+        return vec[self.pivots]
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other is contained in self (a pivot read-off, see spans)."""
@@ -287,8 +297,7 @@ class Subspace:
         lies in the span of the canonical basis B with pivot columns piv
         iff o - o[piv]*B = 0, since o[piv]*B is the only member of the
         span that agrees with o on the pivot columns."""
-        piv = list(_pivots_of_rref(self.basis.a))
-        return not ((vecs - vecs[:, piv] @ self.basis.a) % self.p).any()
+        return not ((vecs - vecs[:, self.pivots] @ self.basis.a) % self.p).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -341,14 +350,6 @@ class Subspace:
         return f"Subspace(p={self.p}, ambient={self.ambient_dim}, dim={self.dim})"
 
 
-def _pivots_of_rref(a: np.ndarray) -> tuple[int, ...]:
-    # Basis arrays are always rref with no zero rows, so the pivot of each
-    # row is its first nonzero column.
-    if not a.size:  # argmax refuses an empty row
-        return ()
-    return tuple((a != 0).argmax(axis=1).tolist())
-
-
 def map_image(m: FpMatrix, u: Subspace) -> Subspace:
     """Image {m @ v : v in u}."""
     if m.p != u.p or m.cols != u.ambient_dim:
@@ -381,45 +382,37 @@ def inverse(m: FpMatrix) -> FpMatrix:
 class QuotientSpace:
     """Quotient ambient/modded with an explicit transversal of coset reps.
 
-    Coordinates on the quotient are taken against `coset_basis`, whose
-    rows are ambient basis vectors chosen greedily so their classes are
-    independent; project and lift are mutually inverse on coordinates.
+    A member v of the ambient has coordinates a = v[piv] against the
+    ambient's canonical basis B, and the modded subspace is the row span
+    of C = modded.basis[:, piv].  The one elimination is linalg.kernel's:
+    the RREF of C with its columns reversed, off which K, the canonical
+    basis of ker C, is read; K's pivots T are the positions that are not
+    pivots of that RREF.
+
+      * Transversal: ker C meets span(e_i, ..) in more than span(e_i+1, ..),
+        i.e. K leads at i, iff e_i is not in span(C) + span(e_0 .. e_i-1)
+        (take annihilators).  So coset_basis = B[T] is what a greedy scan
+        of B keeps: each row whose class is independent of the modded
+        subspace and of the rows kept before it.
+      * Coordinates: K vanishes on span(C) and K[:, T] = I, so
+        a = c*I[T] + d*C gives a @ K^T = c, with nothing eliminated.
     """
 
-    __slots__ = ("p", "ambient", "modded", "coset_basis", "_proj")
+    __slots__ = ("p", "ambient", "modded", "coset_basis", "_piv", "_coords")
 
     def __init__(self, ambient: Subspace, modded: Subspace):
         ambient._check_compatible(modded)
         if not ambient.contains(modded):
             raise InvalidQuotient("modded subspace is not contained in the ambient")
         p = ambient.p
-        chosen: list[np.ndarray] = []
-        span = modded
-        for row in ambient.basis.a:
-            if span.contains_vector(row):
-                continue
-            chosen.append(np.array(row))
-            span = span.sum(Subspace.from_rows(p, ambient.ambient_dim, [row]))
-            if span.dim == ambient.dim:
-                break
-        coset = np.array(chosen, dtype=np.int64).reshape(-1, ambient.ambient_dim)
+        piv = ambient.pivots
+        coords = kernel(FpMatrix(p, modded.basis.a[:, piv]))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "modded", modded)
-        object.__setattr__(self, "coset_basis", FpMatrix(p, coset))
-        # Left inverse of [coset_rows; modded_rows]^T, computed once; the
-        # first `dim` rows of _proj @ v are the quotient coordinates.
-        cols = np.vstack([coset, modded.basis.a]).T
-        if cols.shape[1]:
-            eye = np.eye(ambient.ambient_dim, dtype=np.int64)
-            red = rref(FpMatrix(p, np.hstack([cols, eye])))
-            k = cols.shape[1]
-            if red.pivots[:k] != tuple(range(k)):
-                raise InvalidQuotient("transversal construction failed")  # pragma: no cover
-            proj = red.matrix.a[:k, k:]
-        else:
-            proj = np.zeros((0, ambient.ambient_dim), dtype=np.int64)
-        object.__setattr__(self, "_proj", proj)
+        object.__setattr__(self, "coset_basis", FpMatrix(p, ambient.basis.a[coords.pivots]))
+        object.__setattr__(self, "_piv", piv)
+        object.__setattr__(self, "_coords", coords.basis.a)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientSpace is immutable")
@@ -429,38 +422,37 @@ class QuotientSpace:
         return self.coset_basis.rows
 
     def project(self, v) -> np.ndarray:
-        """Quotient coordinates of the class of v (v must be in the ambient)."""
-        vec = as_vector(self.p, v)
-        if not self.ambient.contains_vector(vec):
+        """Quotient coordinates of the class of v, or of each row of a 2-D
+        v (every vector must be in the ambient)."""
+        vecs = np.asarray(v, dtype=np.int64) % self.p
+        if vecs.ndim not in (1, 2) or vecs.shape[-1] != self.ambient.ambient_dim:
+            raise DimensionMismatch("vectors do not live in the ambient space")
+        if not self.ambient.spans(np.atleast_2d(vecs)):
             raise DimensionMismatch("vector is not in the ambient subspace")
-        return (self._proj @ vec)[: self.dim] % self.p
+        return vecs[..., self._piv] @ self._coords.T % self.p
 
     def lift(self, coords) -> np.ndarray:
         """Canonical representative of the class with the given coordinates."""
         c = as_vector(self.p, coords)
         if c.shape[0] != self.dim:
             raise DimensionMismatch(f"expected {self.dim} quotient coordinates")
-        if self.dim == 0:
-            return np.zeros(self.ambient.ambient_dim, dtype=np.int64)
-        return (c @ self.coset_basis.a) % self.p
+        return c @ self.coset_basis.a % self.p
 
     def induced(self, m: FpMatrix) -> FpMatrix:
-        """Matrix of the map induced by m on the quotient.
+        """Matrix of the map induced by m on the quotient: column j is the
+        projection of m applied to coset representative j.
 
-        Requires m(ambient) <= ambient and m(modded) <= modded.
+        Requires m(ambient) <= ambient and m(modded) <= modded, checked on
+        the raw images of the two canonical bases.
         """
-        if not self.ambient.contains(map_image(m, self.ambient)):
+        n = self.ambient.ambient_dim
+        if m.p != self.p or m.shape != (n, n):
+            raise DimensionMismatch("map does not act on the ambient space")
+        if not self.ambient.spans(self.ambient.basis.a @ m.a.T % self.p):
             raise InvalidQuotient("map does not preserve the ambient subspace")
-        if not self.modded.contains(map_image(m, self.modded)):
+        if not self.modded.spans(self.modded.basis.a @ m.a.T % self.p):
             raise InvalidQuotient("map does not preserve the modded subspace")
-        cols = []
-        for j in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[j] = 1
-            cols.append(self.project(m.apply(self.lift(e))))
-        if not cols:
-            return FpMatrix.zeros(self.p, 0, 0)
-        return FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
+        return FpMatrix(self.p, self.project(self.coset_basis.a @ m.a.T).T)
 
 
 def quotient(ambient: Subspace, modded: Subspace) -> QuotientSpace:

@@ -29,12 +29,10 @@ from .errors import (
 )
 from .linalg import (
     FpMatrix,
-    QuotientSpace,
     Subspace,
     check_prime,
     inverse,
     kernel,
-    map_image,
     quotient,
     rref,
 )
@@ -176,18 +174,20 @@ def fixed_bound_check(rep: FiniteRep) -> BoundCheck:
 
 
 def restrict_rep(rep: FiniteRep, w: Subspace, label: str = "") -> FiniteRep:
-    """The same generators in coordinates of an invariant subspace w."""
+    """The same generators in coordinates of an invariant subspace w.
+
+    Column i of a generator's matrix is the coordinates of its image of
+    w's basis row i: a member of w is the combination of the canonical
+    basis given by its entries at w's pivots, so they are read off there.
+    """
     if w.p != rep.p or w.ambient_dim != rep.dim:
         raise DimensionMismatch("subspace does not live in the representation space")
     mats = []
     for g in rep.generators:
-        if not w.contains(map_image(g, w)):
+        images = w.basis.a @ g.a.T % rep.p
+        if not w.spans(images):
             raise ChainInvariantViolation("subspace is not invariant under a generator")
-        cols = [w.coordinates(g.apply(row)) for row in w.basis.a]
-        if cols:
-            mats.append(FpMatrix(rep.p, np.array(cols, dtype=np.int64).T))
-        else:
-            mats.append(FpMatrix.zeros(rep.p, 0, 0))
+        mats.append(FpMatrix(rep.p, images[:, w.pivots].T))
     return FiniteRep(rep.p, w.dim, mats, label or rep.label)
 
 

@@ -198,17 +198,17 @@ def power_check_nilpotent(n: SparsePerturbation) -> bool:
 
 
 def commutation_range_check(n: SparsePerturbation) -> tuple[bool, tuple[int, int] | None]:
-    """Check [N_0, N_delta] = 0 for all |delta| <= span(N).
+    """Check [N_0, N_delta] = 0 for every delta where taps can chain.
 
-    Taps of N_0 and N_delta cannot chain once |delta| exceeds the
-    exponent span, so this finite sweep certifies that every pair of
-    t-conjugates commutes.  Returns (ok, witness offsets) where the
-    witness names a non-commuting pair (0, delta).
+    A tap f of N_delta feeds a tap e of N_0 only when f.out_exp + delta =
+    e.in_exp, and e feeds f only when e.out_exp = f.in_exp + delta; at any
+    other delta both composites are zero.  So sweeping these offsets (all
+    within the exponent span) certifies that every pair of t-conjugates
+    commutes.  Returns (ok, witness offsets) where the witness names the
+    first non-commuting pair (0, delta), by ascending delta.
     """
-    s = n.span
-    for delta in range(-s, s + 1):
-        if delta == 0:
-            continue
+    offsets = {e.in_exp - f.out_exp for e in n.entries for f in n.entries}
+    for delta in sorted((offsets | {-x for x in offsets}) - {0}):
         shifted = n.conjugate(delta)
         if n.compose(shifted) != shifted.compose(n):
             return False, (0, delta)

@@ -539,8 +539,10 @@ def test_window_beyond_dimension_cap_is_limit_exceeded(tmp_path, capsys):
     [
         # a sampled series spans past the exponent cap
         ("validate", "{in: [1, 0], out: [2, 0], coeff: 1}", "precision: 10000000\n"),
-        # a sampled vector does (in: [1, 999999] alone spends 25 s certifying the seed)
+        # a sampled vector does
         ("validate", "{in: [1, 999999], out: [2, 999999], coeff: 1}", ""),
+        # so does this one, once the commutation check sweeps its two offsets, ±999999
+        ("validate", "{in: [1, 999999], out: [2, 0], coeff: 1}", ""),
         # the config check refuses these before the seed is certified
         ("find-fixed", "{in: [1, 1000001], out: [2, 0], coeff: 1}", ""),
         ("validate", "{in: [1, 1000000000], out: [2, 0], coeff: 1}", ""),

@@ -107,6 +107,30 @@ def test_monomial_transfer_between_windows():
     assert out[dst.index(1, -1)] == 2 and out.sum() == 2
 
 
+def looped_monomial_transfer(src, dst, n):
+    """The entry-by-entry matrix monomial_transfer replaced."""
+    a = np.zeros((dst.dim, src.dim), dtype=np.int64)
+    for c in range(1, src.d + 1):
+        for e in range(src.lo, src.hi):
+            if dst.contains_exp(e + n):
+                a[dst.index(c, e + n), src.index(c, e)] = 1
+    return a
+
+
+def test_monomial_transfer_matches_the_entry_loop():
+    windows = [
+        LatticeWindow(lo, hi, d=d, p=3) for lo, hi in ((-3, 4), (0, 2), (-1, 5)) for d in (1, 2)
+    ]
+    for src in windows:
+        for dst in windows:
+            if src.d != dst.d:
+                continue
+            for n in range(-8, 9):
+                assert np.array_equal(
+                    monomial_transfer(src, dst, n).a, looped_monomial_transfer(src, dst, n)
+                )
+
+
 def test_shift_matrix_is_transfer_by_one():
     w = LatticeWindow(-1, 2, d=2, p=3)
     assert shift_matrix(w) == monomial_transfer(w, w, 1)
@@ -589,6 +613,21 @@ def test_chain_eliminations_stay_within_the_read_off_budget(monkeypatch):
     chain = m_ell_chain(a, 12, default_window(a, 16, 12))
     assert chain.window.dim == 60
     assert len(shapes) <= 45
+
+
+def test_lemma_chain_and_probe_stay_within_the_read_off_budget(monkeypatch):
+    """Each shifted copy of m_hat (4) and each nested image (3) is one
+    elimination, the quotient one more, and the probe seven per member:
+    a cut per generator (3) for the member's fixed space, the quotient by
+    it, and a cut per generator on that quotient: 29 rref calls, 115 with
+    a greedy transversal and per-vector coordinates."""
+    a = mk_action(*CHAIN3)
+    chain = m_ell_chain(a, 3, default_window(a, 4, 3, n_max=3))
+    shapes = _recording_rref(monkeypatch)
+    lc = lemma_chain_from_action(a, chain, 3)
+    probe = dichotomy_probe(lc.rep, lc.nested)
+    assert lc.rep.r == 3 and [row.total_dim for row in probe.rows] == [3, 6, 9]
+    assert len(shapes) <= 29
 
 
 # ------------------------------------------------- generator checks and guards

@@ -497,3 +497,131 @@ def test_cut_rejects_rows_of_another_width():
     for rows in (np.zeros((2, 5), dtype=np.int64), np.zeros(4, dtype=np.int64)):
         with pytest.raises(DimensionMismatch):
             s.cut(rows)
+
+
+# ------------------------------------- quotients against the greedy transversal
+#
+# A test-local copy of the construction the read-off quotient replaced: a
+# greedy scan of the ambient basis for the transversal, then the left
+# inverse of [coset rows; modded rows]^T from one elimination of [cols | I]
+# for the coordinates.
+
+
+def greedy_quotient(ambient, modded):
+    """(coset basis, P) of the greedy construction: P @ v is the quotient
+    coordinates of an ambient member v."""
+    p, n = ambient.p, ambient.ambient_dim
+    chosen, span = [], modded
+    for row in ambient.basis.a:
+        if not span.contains_vector(row):
+            chosen.append(np.array(row))
+            span = span.sum(Subspace.from_rows(p, n, [row]))
+    coset = np.array(chosen, dtype=np.int64).reshape(len(chosen), n)
+    cols = np.vstack([coset, modded.basis.a]).T
+    k = cols.shape[1]
+    red = rref(FpMatrix(p, np.hstack([cols, np.eye(n, dtype=np.int64)])))
+    assert red.pivots[:k] == tuple(range(k))
+    return coset, red.matrix.a[: len(chosen), k:]
+
+
+QUOTIENT_PRIMES = (2, 3, 5, 7)
+
+
+def quotient_pairs(p, n, seed):
+    subs = readoff_subspaces(p, n, seed)
+    return [(s, o) for s in subs for o in subs if s.contains(o)]
+
+
+def random_members(rng, s, count):
+    coeffs = [[rng.randrange(s.p) for _ in range(s.dim)] for _ in range(count)]
+    return np.array(coeffs, dtype=np.int64).reshape(count, s.dim) @ s.basis.a % s.p
+
+
+@pytest.mark.parametrize("p", QUOTIENT_PRIMES)
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_quotient_matches_the_greedy_transversal(p, n):
+    rng = random.Random(4000 + 100 * p + n)
+    pairs = quotient_pairs(p, n, seed=5000 + 100 * p + n)
+    assert any(m.dim == 0 for _, m in pairs) and any(a == m for a, m in pairs)
+    assert any(a.dim == n for a, _ in pairs)
+    for ambient, modded in pairs:
+        q = quotient(ambient, modded)
+        coset, proj = greedy_quotient(ambient, modded)
+        assert q.coset_basis.shape == coset.shape
+        assert np.array_equal(q.coset_basis.a, coset)
+        members = random_members(rng, ambient, 4)
+        for v in members:
+            assert np.array_equal(q.project(v), proj @ v % p)
+            assert modded.contains_vector((v - q.lift(q.project(v))) % p)
+        assert np.array_equal(q.project(members), members @ proj.T % p)
+
+
+def test_quotient_of_the_zero_space():
+    z = Subspace.zero(2, 0)
+    q = quotient(z, z)
+    assert q.dim == 0 and q.coset_basis.shape == (0, 0)
+    assert q.project(np.zeros(0, dtype=np.int64)).shape == (0,)
+    assert q.lift([]).shape == (0,)
+    assert q.induced(FpMatrix(2, np.zeros((0, 0), dtype=np.int64))).shape == (0, 0)
+
+
+def test_project_checks_every_row_for_membership():
+    ambient = Subspace.from_rows(3, 3, [[1, 0, 0], [0, 1, 0]])
+    q = quotient(ambient, Subspace.from_rows(3, 3, [[1, 1, 0]]))
+    # coset basis (1,0,0); (0,1,0) = -(1,0,0) + (1,1,0)
+    assert q.project([[1, 0, 0], [0, 1, 0]]).tolist() == [[1], [2]]
+    for bad in ([0, 0, 1], [[1, 0, 0], [0, 0, 1]]):
+        with pytest.raises(DimensionMismatch):
+            q.project(bad)
+    for wrong in ([1, 0], [[1, 0]], np.zeros((1, 1, 3), dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            q.project(wrong)
+
+
+def test_quotient_eliminates_once_and_reads_off_the_rest(monkeypatch):
+    """Building a quotient is one rref; project, lift and induced make none.
+    A map I + X with X into the modded subspace preserves both subspaces
+    and induces the identity."""
+    import equifix.linalg
+
+    real = equifix.linalg.rref
+    calls = []
+
+    def counting_rref(m):
+        calls.append(m.shape)
+        return real(m)
+
+    def refusing_rref(m):
+        raise AssertionError("rref called")
+
+    rng = random.Random(6000)
+    pairs = quotient_pairs(2, 6, seed=7002) + quotient_pairs(5, 6, seed=7005)
+    for ambient, modded in pairs:
+        p = ambient.p
+        monkeypatch.setattr(equifix.linalg, "rref", counting_rref)
+        del calls[:]
+        q = quotient(ambient, modded)
+        assert len(calls) == 1
+        x = random_members(rng, modded, 6).T
+        m = FpMatrix(p, np.eye(6, dtype=np.int64) + x)
+        monkeypatch.setattr(equifix.linalg, "rref", refusing_rref)
+        coords = q.project(random_members(rng, ambient, 3))
+        for c in coords:
+            assert np.array_equal(q.project(q.lift(c)), c)
+        assert q.induced(m) == FpMatrix.identity(p, q.dim)
+
+
+def test_zero_and_full_build_their_bases_directly(monkeypatch):
+    import equifix.linalg
+
+    def refusing_rref(m):
+        raise AssertionError("rref called")
+
+    expected = {
+        n: (Subspace.from_rows(3, n, np.zeros((0, n), dtype=np.int64)),
+            Subspace.from_rows(3, n, np.eye(n, dtype=np.int64)))
+        for n in (0, 1, 5)
+    }
+    monkeypatch.setattr(equifix.linalg, "rref", refusing_rref)
+    for n, (zero, full) in expected.items():
+        assert Subspace.zero(3, n) == zero and Subspace.full(3, n) == full

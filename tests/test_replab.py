@@ -18,7 +18,7 @@ from equifix.errors import (
     NonCommuting,
     NotOrderP,
 )
-from equifix.linalg import FpMatrix, Subspace
+from equifix.linalg import FpMatrix, Subspace, kernel
 from equifix.replab import (
     FiniteRep,
     dichotomy_probe,
@@ -239,6 +239,39 @@ def test_quotient_jordan_3_by_fixed_line_is_jordan_2():
     assert q.generators[0].a.tolist() == [[1, 1], [0, 1]]
 
 
+def looped_restriction(rep, w):
+    """The per-row restriction restrict_rep replaced: column i of each
+    matrix is the coordinates of g applied to w's basis row i."""
+    return [
+        np.array([w.coordinates(g.apply(row)) for row in w.basis.a], dtype=np.int64)
+        .reshape(w.dim, w.dim).T
+        for g in rep.generators
+    ]
+
+
+def test_restrict_matches_the_per_row_loop_without_elimination(monkeypatch):
+    """On the kernels of (g - id)^i, which every generator preserves."""
+    import equifix.linalg
+
+    rng = random.Random(461)
+    cases = []
+    for _ in range(12):
+        p = rng.choice([2, 3, 5])
+        rep = random_commuting_rep(rng, p, rng.randint(1, 7), rng.randint(1, 3))
+        nil = rep.generators[0] - FpMatrix.identity(p, rep.dim)
+        cases += [(rep, kernel(nil**i)) for i in range(p + 1)]
+    expected = [looped_restriction(rep, w) for rep, w in cases]
+
+    def refusing_rref(m):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(equifix.linalg, "rref", refusing_rref)
+    for (rep, w), mats in zip(cases, expected):
+        sub = restrict_rep(rep, w)
+        assert [g.a.tolist() for g in sub.generators] == [m.tolist() for m in mats]
+    assert {w.dim for _, w in cases} >= {0, 1, 2, 3}
+
+
 # ---------------------------------------------------------------- dichotomy
 
 
@@ -272,6 +305,17 @@ def test_dichotomy_probe_rejects_loose_chains():
     w = Subspace.from_rows(2, 4, [[0, 1, 0, 0]])
     with pytest.raises(ChainInvariantViolation):
         dichotomy_probe(rep, [w])  # member not invariant
+
+
+def test_dichotomy_probe_from_the_zero_member():
+    rep = FiniteRep(3, 3, [jordan(3, 3)])
+    report = dichotomy_probe(rep, [Subspace.zero(3, 3), Subspace.full(3, 3)])
+    assert report.ok
+    assert [(r.total_dim, r.fixed_dim, r.quotient_fixed_dim) for r in report.rows] == [
+        (0, 0, 0),
+        (3, 1, 1),
+    ]
+    assert [r.lower_bound for r in report.rows] == [Fraction(0), Fraction(1)]
 
 
 # ---------------------------------------------------------------- generators

@@ -160,6 +160,50 @@ def test_cross_level_chain_fails_commutation():
     assert not ok and witness is not None
 
 
+def full_commutation_sweep(n):
+    """The sweep commutation_range_check replaced: every offset in
+    [-span, span] but 0, ascending."""
+    for delta in range(-n.span, n.span + 1):
+        if delta:
+            shifted = n.conjugate(delta)
+            if n.compose(shifted) != shifted.compose(n):
+                return False, (0, delta)
+    return True, None
+
+
+def test_commutation_check_matches_the_full_sweep():
+    rng = random.Random(131)
+    verdicts = []
+    for _ in range(400):
+        p, d = rng.choice([2, 3]), rng.randint(1, 3)
+        taps = [
+            (rng.randint(1, d), rng.randint(-4, 4), rng.randint(1, d), rng.randint(-4, 4),
+             rng.randint(1, p - 1))
+            for _ in range(rng.randint(0, 4))
+        ]
+        n = pert(p, d, *taps)
+        verdict = commutation_range_check(n)
+        assert verdict == full_commutation_sweep(n), taps
+        verdicts.append(verdict[0])
+    assert 50 < verdicts.count(False) < 350
+
+
+def test_commutation_check_conjugates_only_where_taps_chain(monkeypatch):
+    """A far tap has span 999999, but only at delta = -999999 and 999999
+    can a conjugate's tap read what the other's writes."""
+    calls = []
+    real = SparsePerturbation.conjugate
+
+    def counting_conjugate(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(SparsePerturbation, "conjugate", counting_conjugate)
+    n = pert(2, 2, (1, 999999, 2, 0, 1))
+    assert commutation_range_check(n) == (True, None)
+    assert calls == [-999999, 999999]
+
+
 # ---------------------------------------------------------------- modulus
 
 
