@@ -4,23 +4,38 @@ Everything here recomputes answers the cheap way — enumerating vectors
 or subspaces outright — so the production routines (fixed_space,
 max_invariant_subspace) can be validated against code that shares no
 logic with them.  Nothing here eliminates: every result is built from
-matrix products and read off by inspection, so no call reaches `rref`.
+span tables, gathers and small matrix products and read off by
+inspection, so no call reaches `rref`.
 
-  * brute_fixed keeps the vectors every generator fixes and reads the
-    canonical basis off that set: its pivots are the leading positions
-    of its members, and row i is the unique member whose pivot
-    coordinates are e_i.
-  * brute_max_invariant enumerates only the subspaces of the ambient.
-    For each RREF coefficient matrix C (k x m) and the ambient's RREF
-    basis B (m x n), C·B is again RREF, with pivots pivB[pivC], so it is
-    the canonical basis of its span and distinct C give distinct
-    subspaces.  A vector v lies in the row span of an RREF basis b with
-    pivots piv iff v - v[piv]·b = 0, which tests invariance and
-    maximality.
+One primitive enumerates: `_span_table(p, rows)` lists all p^k
+combinations of k rows as a narrow unsigned table, row i combining them
+with the base-p digits of i (least significant first), so the row of a
+combination is found again from its base-p code.
+
+  * brute_fixed tabulates F_p^dim (the combinations of the unit rows)
+    and, for each generator g, the combinations of g's columns: by
+    linearity row i of that table is g applied to vector i, so every
+    vector is checked, and the fixed vectors are those equal to every
+    image.  The canonical basis is read off the fixed set in one pass:
+    the pivots are the leading positions of its members, and row r is
+    the member whose pivot coordinates have base-p code p^r.
+  * brute_max_invariant enumerates only the subspaces of the ambient,
+    one pivot pattern at a time: `_rref_bases` yields every RREF
+    coefficient matrix C (k x m) of a pattern as one stack.  With the
+    ambient's RREF basis B (m x n), C·B is RREF with pivots pivB[pivC],
+    so it is the canonical basis of its span and distinct C give
+    distinct subspaces.  The test runs in the ambient's coordinates: the
+    image of x·B under a generator lies in the ambient iff the part of
+    it off the ambient's span is zero, and then its coordinates are its
+    entries at pivB.  Both are tabulated once per coefficient vector x
+    of F_p^m and gathered by the code of each row of C.  A coordinate
+    vector v lies in the row span of C iff v = v[pivC]·C, which tests
+    invariance and maximality for a whole stack at once.
 
 Budgets keep the enumerations from silently eating hours; exceeding one
-raises BudgetExceeded rather than degrading.  The subspace budget counts
-what is enumerated: the subspaces of the ambient.
+raises BudgetExceeded, before any table is built, rather than
+degrading.  The subspace budget counts what is enumerated: the subspaces
+of the ambient.
 """
 
 from __future__ import annotations
@@ -45,19 +60,25 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _all_vectors(p: int, dim: int, budget: EnumerationBudget) -> np.ndarray:
-    total = p**dim
-    if total > budget.max_vectors:
-        raise BudgetExceeded(f"{total} vectors exceeds budget {budget.max_vectors}")
-    # Row i spells i in base p, least significant digit first.
-    idx = np.arange(total, dtype=np.int64)
-    cols = []
-    for _ in range(dim):
-        cols.append(idx % p)
-        idx //= p
-    if cols:
-        return np.stack(cols, axis=1)
-    return np.zeros((1, 0), dtype=np.int64)
+def _span_table(p: int, rows) -> np.ndarray:
+    """All p^k combinations of the k rows, mod p: row i is the sum of
+    d_j·rows[j] over the base-p digits d_j of i, least significant first.
+
+    Built one row's multiples at a time: once rows[:j] are in, block c of
+    the next p^j rows is block c - 1 plus rows[j].  Entries stay below
+    2p - 1 between reductions, so the table is as narrow as p allows.
+    """
+    rows = np.asarray(rows) % p
+    dtype = np.min_scalar_type(2 * (p - 1))
+    table = np.zeros((p ** len(rows), rows.shape[1]), dtype=dtype)
+    size = 1
+    for row in rows.astype(dtype):
+        for c in range(1, p):
+            block = table[c * size:(c + 1) * size]
+            np.add(table[(c - 1) * size:c * size], row, out=block)
+            block %= p
+        size *= p
+    return table
 
 
 def _generator_arrays(p: int, dim: int, generators) -> list[np.ndarray]:
@@ -76,30 +97,45 @@ def _leading(rows: np.ndarray) -> np.ndarray:
     return (rows != 0).argmax(axis=1)
 
 
-def _in_span(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> bool:
-    """Whether every row of vecs lies in the row span of the RREF basis."""
-    return not ((vecs - vecs[:, pivots] @ basis) % p).any()
+def _in_span(vecs: np.ndarray, bases: np.ndarray, pivots, p: int) -> np.ndarray:
+    """For each entry of a stack: whether every row of vecs[i] lies in the
+    row span of the RREF basis bases[i], whose pivots are shared."""
+    k, m = bases.shape[1:]
+    # Wide enough for a sum of k products of residues.
+    wide = np.min_scalar_type(k * (p - 1) ** 2)
+    lead = vecs[:, :, pivots].astype(wide, copy=False)
+    # At the pivot columns v and v[piv]·b agree, since b[:, piv] = I.
+    rest = np.ones(m, dtype=bool)
+    rest[pivots] = False
+    combined = lead @ bases[:, :, rest].astype(wide, copy=False) % p
+    return (combined == vecs[:, :, rest]).all(axis=(1, 2))
 
 
 def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAULT_BUDGET) -> Subspace:
     """Common fixed vectors of the generators, by checking every vector.
 
-    The canonical basis is read off the fixed set: the pivots are the
-    leading positions of its nonzero members, and row i is the member
-    whose pivot coordinates are e_i (unique, since a member is fixed by
-    its pivot coordinates).
+    Row i of the span table of g's columns is g applied to vector i, so
+    the fixed set is where every generator's table equals the vectors.
+    The canonical basis is read off it: the pivots are the leading
+    positions of its nonzero members, and row r is the member whose pivot
+    coordinates are e_r (unique, since a member is fixed by its pivot
+    coordinates), found by their base-p code p^r.
     """
-    vs = _all_vectors(p, dim, budget)
-    gens = _generator_arrays(p, dim, generators)
-    mask = np.ones(len(vs), dtype=bool)
-    for g in gens:
-        mask &= ((vs @ g.T) % p == vs).all(axis=1)
-    picked = vs[mask]
-    picked = picked[picked.any(axis=1)]
-    pivots = np.unique(_leading(picked))
-    unit = np.eye(len(pivots), dtype=np.int64)
-    rows = [picked[(picked[:, pivots] == e).all(axis=1)][0] for e in unit]
-    return Subspace(p, dim, FpMatrix(p, np.array(rows, dtype=np.int64).reshape(len(pivots), dim)))
+    total = p**dim
+    if total > budget.max_vectors:
+        raise BudgetExceeded(f"{total} vectors exceeds budget {budget.max_vectors}")
+    # Row i spells i in base p, least significant digit first.
+    vectors = _span_table(p, np.eye(dim, dtype=np.int64))
+    mask = np.ones(total, dtype=bool)
+    for g in _generator_arrays(p, dim, generators):
+        mask &= (_span_table(p, g.T) == vectors).all(axis=1)
+    fixed = vectors[mask]
+    pivots = np.unique(_leading(fixed[1:]))  # fixed[0] is the zero vector
+    powers = p ** np.arange(len(pivots))
+    member = np.empty(len(fixed), dtype=np.int64)  # the member with each code
+    member[fixed[:, pivots] @ powers] = np.arange(len(fixed))
+    rows = fixed[member[powers]].reshape(len(pivots), dim)
+    return Subspace(p, dim, FpMatrix(p, rows))
 
 
 def count_subspaces(p: int, dim: int, k: int) -> int:
@@ -115,42 +151,63 @@ def count_subspaces(p: int, dim: int, k: int) -> int:
     return num // den
 
 
+# Most subspaces one stack holds: a pattern with more fillings comes in
+# consecutive slices, so a stack's working set stays bounded whatever p.
+_STACK = 1 << 14
+
+
 def _rref_bases(p: int, dim: int, budget: EnumerationBudget):
-    """Yield the canonical RREF basis array of every subspace of F_p^dim
-    once, in the order of enumerate_subspaces."""
+    """The canonical RREF basis array of every subspace of F_p^dim once,
+    in the order of enumerate_subspaces, one pivot pattern at a time:
+    an iterator of (N, k, dim) stacks of bases sharing their pivot
+    columns.  The budget is checked on the call, before any stack is
+    built."""
     total = sum(count_subspaces(p, dim, k) for k in range(dim + 1))
     if total > budget.max_subspaces:
         raise BudgetExceeded(f"{total} subspaces exceeds budget {budget.max_subspaces}")
-    yield np.zeros((0, dim), dtype=np.int64)
-    for k in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            # Free positions: to the right of each pivot, skipping later
-            # pivot columns.
-            free = [(r, c) for r, pc in enumerate(pivots)
-                    for c in range(pc + 1, dim) if c not in pivots]
-            free_rows = [r for r, _ in free]
-            free_cols = [c for _, c in free]
-            base = np.zeros((k, dim), dtype=np.int64)
-            base[range(k), pivots] = 1
-            for fill in itertools.product(range(p), repeat=len(free)):
-                m = base.copy()
-                m[free_rows, free_cols] = fill
-                yield m
+    return itertools.chain.from_iterable(
+        _pattern_stacks(p, dim, pivots)
+        for k in range(dim + 1)
+        for pivots in itertools.combinations(range(dim), k)
+    )
+
+
+def _pattern_stacks(p: int, dim: int, pivots: tuple[int, ...]):
+    """Yield the RREF bases with these pivot columns, every filling of
+    the free entries once, in itertools.product order."""
+    k = len(pivots)
+    # Free positions: to the right of each pivot, skipping later pivot
+    # columns.
+    free = [(r, c) for r, pc in enumerate(pivots)
+            for c in range(pc + 1, dim) if c not in pivots]
+    free_rows = [r for r, _ in free]
+    free_cols = [c for _, c in free]
+    # The first free entry is the most significant digit, as in
+    # itertools.product.
+    fills = _span_table(p, np.eye(len(free), dtype=np.int64)[::-1])
+    for start in range(0, len(fills), _STACK):
+        part = fills[start:start + _STACK]
+        stack = np.zeros((len(part), k, dim), dtype=fills.dtype)
+        stack[:, range(k), list(pivots)] = 1
+        stack[:, free_rows, free_cols] = part
+        yield stack
 
 
 def enumerate_subspaces(p: int, dim: int, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield every subspace of F_p^dim once, as canonical Subspace objects.
 
     Construction is direct: for each rank k and pivot-column choice,
-    fill the free entries of the reduced row echelon form in all ways.
-    No Gaussian elimination happens, so agreement of the count with
+    every filling of the free entries of the reduced row echelon form is
+    a row of one span table, and the fillings come out in order.  No
+    Gaussian elimination happens, so agreement of the count with
     count_subspaces is a real check on both sides.
     """
-    for m in _rref_bases(p, dim, budget):
-        # Already in reduced echelon form by construction, so the raw
-        # constructor is safe (and keeps elimination out of this code
-        # path).
-        yield Subspace(p, dim, FpMatrix(p, m))
+    for stack in _rref_bases(p, dim, budget):
+        for m in stack:
+            # Already in reduced echelon form by construction, so the raw
+            # constructor is safe (and keeps elimination out of this code
+            # path).
+            yield Subspace(p, dim, FpMatrix(p, m))
 
 
 def brute_max_invariant(
@@ -163,16 +220,19 @@ def brute_max_invariant(
     """Largest subspace of `ambient` mapped into itself by every generator.
 
     Walks the subspaces of the ambient as C·B, for every RREF coefficient
-    matrix C with ambient.dim columns (the raw arrays behind
+    matrix C with m = ambient.dim columns (the raw stacks behind
     enumerate_subspaces: no FpMatrix or Subspace is built per subspace)
     and the ambient's RREF basis B; C·B is RREF with pivots pivB[pivC],
-    so it is canonical without elimination.  A subspace b with pivots piv is invariant when
-    the images `imgs` of its rows under every generator satisfy
-    imgs - imgs[:, piv]·b = 0 (mod p).  Returns the invariant subspace of
-    top dimension, verifying along the way that it contains every other
-    invariant subspace found (the maximum is a sum, so this must hold; a
-    failure means a bug in the caller's premises, and raises).  The
-    budget counts the ambient's subspaces, the ones enumerated.
+    so it is canonical without elimination.  Per coefficient vector x of
+    F_p^m, tables hold whether some generator moves x·B off the ambient
+    and, for each generator, the ambient coordinates of the image of x·B.
+    A stack of C is invariant where no row's image leaves and every
+    row's image coordinates v satisfy v = v[pivC]·C (mod p).  Returns the
+    invariant subspace of top dimension, verifying along the way that it
+    contains every other invariant subspace found (the maximum is a sum,
+    so this must hold; a failure means a bug in the caller's premises,
+    and raises).  The budget counts the ambient's subspaces, the ones
+    enumerated.
     """
     gens = _generator_arrays(p, dim, generators)
     if ambient is None:
@@ -180,17 +240,35 @@ def brute_max_invariant(
     elif ambient.p != p or ambient.ambient_dim != dim:
         raise DimensionMismatch("ambient does not live in F_p^dim")
     span = ambient.basis.a
-    # Row i of b @ act holds the images of b's row i under every generator.
+    m = len(span)
+    stacks = _rref_bases(p, m, budget)  # checks the budget before any table is built
+    span_pivots = _leading(span)
+    # Row i of span @ act holds the images of the ambient's basis row i
+    # under every generator: split them into their ambient coordinates and
+    # the part off the ambient's span.
     act = np.hstack([g.T for g in gens]) if gens else np.zeros((dim, 0), dtype=np.int64)
-    invariant: list[np.ndarray] = []
-    for c in _rref_bases(p, ambient.dim, budget):
-        b = c @ span % p
-        imgs = (b @ act).reshape(len(b) * len(gens), dim)
-        if _in_span(imgs, b, _leading(b), p):
-            invariant.append(b)
-    best = max(invariant, key=len)
-    best_pivots = _leading(best)
-    for b in invariant:
-        if not _in_span(b, best, best_pivots, p):
-            raise AssertionError("invariant subspaces are not closed under sum here")
-    return Subspace(p, dim, FpMatrix(p, best))
+    images = (span @ act % p).reshape(m, len(gens), dim)
+    # A generator fixing the ambient pointwise maps every subspace of it
+    # into itself, so only the others are tested.
+    images = images[:, ~(images == span[:, None, :]).all(axis=(0, 2))]
+    moving = images.shape[1]
+    coords = images[:, :, span_pivots]
+    off = ((images - coords @ span) % p).reshape(m, moving * dim)
+    leaves = _span_table(p, off[:, off.any(axis=0)]).any(axis=1)
+    moved = _span_table(p, coords.reshape(m, moving * m))
+    powers = p ** np.arange(m)
+    found = np.zeros(len(moved), dtype=bool)  # rows of invariant subspaces
+    best = None
+    for stack in stacks:
+        n, k, _ = stack.shape
+        codes = stack @ powers
+        imgs = moved[codes].reshape(n, k * moving, m)
+        invariant = ~leaves[codes].any(axis=1) & _in_span(imgs, stack, _leading(stack[0]), p)
+        if invariant.any():
+            found[codes[invariant]] = True
+            if best is None or k > len(best):
+                best = stack[invariant.argmax()]
+    rows = _span_table(p, np.eye(m, dtype=np.int64))[found]
+    if not _in_span(rows[None], best[None], _leading(best), p)[0]:
+        raise AssertionError("invariant subspaces are not closed under sum here")
+    return Subspace(p, dim, FpMatrix(p, best @ span % p))

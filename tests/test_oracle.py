@@ -11,7 +11,10 @@ number of k-dimensional subspaces of F_q^n (each factor (q^n - q^i) /
     F_3^4: 1 + 40 + 130 + 40 + 1 = 212
 """
 
+import hashlib
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +240,162 @@ def test_enumerate_subspaces_wraps_the_raw_bases_in_order():
 
     for p, dim in [(2, 0), (2, 3), (3, 2)]:
         subs = [s.basis.a for s in enumerate_subspaces(p, dim)]
-        raw = list(_rref_bases(p, dim, DEFAULT_BUDGET))
+        raw = [c for stack in _rref_bases(p, dim, DEFAULT_BUDGET) for c in stack]
         assert len(subs) == len(raw)
         assert all(np.array_equal(s, r) for s, r in zip(subs, raw))
+
+
+# ---------------------------------------------------------------- reference
+# The per-vector and per-subspace oracles the span-table versions
+# replaced, kept here as the reference they are compared against.
+
+
+def _reference_all_vectors(p, dim):
+    idx = np.arange(p**dim, dtype=np.int64)
+    cols = []
+    for _ in range(dim):
+        cols.append(idx % p)
+        idx //= p
+    return np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=np.int64)
+
+
+def _reference_leading(rows):
+    if not rows.size:
+        return np.zeros(len(rows), dtype=np.int64)
+    return (rows != 0).argmax(axis=1)
+
+
+def _reference_in_span(vecs, basis, pivots, p):
+    return not ((vecs - vecs[:, pivots] @ basis) % p).any()
+
+
+def _reference_rref_bases(p, dim):
+    yield np.zeros((0, dim), dtype=np.int64)
+    for k in range(1, dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            free = [(r, c) for r, pc in enumerate(pivots)
+                    for c in range(pc + 1, dim) if c not in pivots]
+            base = np.zeros((k, dim), dtype=np.int64)
+            base[range(k), pivots] = 1
+            for fill in itertools.product(range(p), repeat=len(free)):
+                m = base.copy()
+                m[[r for r, _ in free], [c for _, c in free]] = fill
+                yield m
+
+
+def _reference_brute_fixed(p, dim, gens):
+    vs = _reference_all_vectors(p, dim)
+    mask = np.ones(len(vs), dtype=bool)
+    for g in gens:
+        mask &= ((vs @ g.a.T) % p == vs).all(axis=1)
+    picked = vs[mask]
+    picked = picked[picked.any(axis=1)]
+    pivots = np.unique(_reference_leading(picked))
+    rows = [picked[(picked[:, pivots] == e).all(axis=1)][0]
+            for e in np.eye(len(pivots), dtype=np.int64)]
+    return Subspace(p, dim, FpMatrix(p, np.array(rows, dtype=np.int64).reshape(len(pivots), dim)))
+
+
+def _reference_brute_max_invariant(p, dim, gens, ambient):
+    span = ambient.basis.a
+    act = np.hstack([g.a.T for g in gens]) if gens else np.zeros((dim, 0), dtype=np.int64)
+    invariant = []
+    for c in _reference_rref_bases(p, ambient.dim):
+        b = c @ span % p
+        imgs = (b @ act).reshape(len(b) * len(gens), dim)
+        if _reference_in_span(imgs, b, _reference_leading(b), p):
+            invariant.append(b)
+    return Subspace(p, dim, FpMatrix(p, max(invariant, key=len)))
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+ORDER_CASES = [(2, d) for d in range(7)] + [(3, d) for d in range(5)] + [(5, d) for d in range(4)]
+
+
+@pytest.mark.parametrize("p,dim", ORDER_CASES)
+def test_enumeration_order_is_pinned(p, dim):
+    from equifix.oracle import DEFAULT_BUDGET, _rref_bases
+
+    expected = _digest(_reference_rref_bases(p, dim))
+    stacks = list(_rref_bases(p, dim, DEFAULT_BUDGET))
+    assert all(len({tuple(_reference_leading(c)) for c in s}) == 1 for s in stacks)
+    assert _digest(c for s in stacks for c in s) == expected
+    assert _digest(s.basis.a for s in enumerate_subspaces(p, dim)) == expected
+
+
+def _fixed_free(p, dim):
+    """A generator fixing only the zero vector: the companion matrix of
+    x^dim - 2 (F_p^dim has no nonzero fixed vector while 2 != 1)."""
+    a = np.zeros((dim, dim), dtype=np.int64)
+    a[1:, :-1] = np.eye(dim - 1, dtype=np.int64)
+    a[0, -1] = 2
+    return FpMatrix(p, a)
+
+
+def _differential_cases():
+    rng = random.Random(463)
+    cases = []
+    # p = 97, the largest prime allowed, needs sums wider than a byte.
+    for p, dims in [(2, (1, 3, 5, 7)), (3, (1, 2, 4)), (5, (1, 2, 3)), (97, (1, 2))]:
+        for dim in dims:
+            for r in (1, 2, 3):
+                cases.append((p, dim, list(random_commuting_rep(rng, p, dim, r).generators)))
+        cases.append((p, 0, [FpMatrix(p, np.zeros((0, 0), dtype=np.int64))]))
+        cases.append((p, dims[-1], []))
+        cases.append((p, 3, [_fixed_free(p, 3)]))
+    return rng, cases
+
+
+def test_brute_fixed_matches_the_per_vector_reference():
+    _, cases = _differential_cases()
+    for p, dim, gens in cases:
+        expected = _reference_brute_fixed(p, dim, gens)
+        assert np.array_equal(brute_fixed(p, dim, gens).basis.a, expected.basis.a)
+    for p in (2, 3, 5, 97):
+        assert brute_fixed(p, 3, [_fixed_free(p, 3)]).dim == 0
+
+
+def test_max_invariant_matches_the_per_subspace_reference():
+    rng, cases = _differential_cases()
+    for p, dim, gens in cases:
+        top = {2: 5, 3: 3, 5: 2, 97: 2}[p]
+        ambients = [Subspace.full(p, dim) if dim <= top else None, Subspace.from_rows(p, dim, [])]
+        for k in range(1, min(dim, top) + 1):
+            ambients.append(Subspace.from_rows(
+                p, dim, [[rng.randrange(p) for _ in range(dim)] for _ in range(k)]))
+        for ambient in filter(None, ambients):
+            got = brute_max_invariant(p, dim, gens, ambient=ambient)
+            expected = _reference_brute_max_invariant(p, dim, gens, ambient)
+            assert np.array_equal(got.basis.a, expected.basis.a)
+
+
+def test_max_invariant_at_the_largest_prime():
+    # In the plane span{e1, e2} of F_97^3, g keeps the line through
+    # (1, 96, 0) (eigenvalue 5) and moves every other line out of the
+    # plane; reading the line's image back takes 5 * 96 = 480 > 255.
+    g = FpMatrix(97, [[5, 0, 0], [93, 1, 0], [1, 1, 1]])
+    plane = Subspace.from_rows(97, 3, [[1, 0, 0], [0, 1, 0]])
+    assert brute_max_invariant(97, 3, [g], ambient=plane).basis.a.tolist() == [[1, 96, 0]]
+
+
+def test_brute_fixed_memory_at_two_to_the_eighteen():
+    a = np.eye(18, dtype=np.int64)
+    a[range(17), range(1, 18)] = 1
+    g = FpMatrix(2, a)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fixed = brute_fixed(2, 18, [g])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fixed.basis.a.tolist() == [[1] + [0] * 17]
+    assert peak < 32 * 2**20
