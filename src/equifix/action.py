@@ -152,18 +152,6 @@ class PhiOperator:
                 v = self.action.seed_auto.apply(v, k)
         return v.truncate(self.target_prec)
 
-    def matrix(self, w: LatticeWindow) -> FpMatrix:
-        """Window matrix: ordered product of generator matrix powers."""
-        if w.hi > self.target_prec:
-            raise InsufficientPrecision(
-                f"window reaches t^{w.hi} but the operator is cut at t^{self.target_prec}"
-            )
-        m = FpMatrix.identity(w.p, w.dim)
-        for k, c in self.factors:
-            g = induced_matrix(self.action.seed.conjugate(k), w)
-            m = (g**c) @ m
-        return m
-
 
 def phi(a: Action, x: LaurentSeries, target: LatticeWindow | int) -> PhiOperator:
     """The operator phi(x), exact modulo t^hi of the target window/order."""

@@ -75,7 +75,7 @@ def window_b_image(w: LatticeWindow, floor: int = 0) -> Subspace:
     idx = sorted(
         w.index(c, e) for c in range(1, w.d + 1) for e in range(max(w.lo, floor), w.hi)
     )
-    return Subspace(w.p, w.dim, FpMatrix(w.p, np.eye(w.dim, dtype=np.int64)[idx]))
+    return Subspace(w.p, w.dim, FpMatrix._wrap(w.p, np.eye(w.dim, dtype=np.int64)[idx]))
 
 
 def _shift(rows: np.ndarray, src: LatticeWindow, dst: LatticeWindow, n: int) -> np.ndarray:
@@ -163,7 +163,7 @@ class _SpinUp:
         taps[np.diag_indices(n)] -= 1
         taps %= p
         cols = np.flatnonzero(taps.any(axis=0))
-        if cols.size and rref(FpMatrix(p, g[np.ix_(cols, cols)])).rank != cols.size:
+        if cols.size and rref(FpMatrix._wrap(p, g[np.ix_(cols, cols)])).rank != cols.size:
             raise SingularGenerator("generator is singular on the window")
         rows = np.flatnonzero(taps.any(axis=1))
         gen = (rows, cols, taps[np.ix_(rows, cols)])
@@ -198,7 +198,7 @@ class _SpinUp:
         vecs = vecs[vecs.any(axis=1)]
         if not vecs.shape[0]:
             return vecs
-        red = rref(FpMatrix(p, vecs))
+        red = rref(FpMatrix._wrap(p, vecs))
         new = red.matrix.a[: red.rank]
         new_pivots = np.array(red.pivots, dtype=np.int64)
         merged = np.vstack([self.rows, new])
@@ -344,7 +344,7 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None) ->
     if m_hat is not None:
         return m_hat.cut(rows)
     if rows.shape[0]:
-        return kernel(FpMatrix(w.p, rows))
+        return kernel(FpMatrix._wrap(w.p, rows))
     return Subspace.full(w.p, w.dim)
 
 

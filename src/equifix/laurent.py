@@ -162,9 +162,6 @@ class LaurentSeries:
             return LaurentSeries.zero(self.p, self.prec)
         return LaurentSeries(self.p, self.val, [c * x for x in self.coeffs], self.prec)
 
-    def neg(self) -> "LaurentSeries":
-        return self.scale(self.p - 1)
-
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k: valuation and precision both move by k."""
         _check_exponent(k)
@@ -372,11 +369,6 @@ class SeriesVector:
     def is_zero(self) -> bool:
         return all(s.is_zero for s in self.series)
 
-    def valuation(self) -> int | None:
-        """Minimal component valuation, or None for the zero vector."""
-        vals = [s.val for s in self.series if not s.is_zero]
-        return min(vals) if vals else None
-
     def add(self, other: "SeriesVector") -> "SeriesVector":
         if self.d != other.d:
             raise DimensionMismatch("vector lengths differ")
@@ -409,11 +401,6 @@ class SeriesVector:
 def format_vector(v: SeriesVector) -> str:
     """Tuple notation with each component in canonical series syntax."""
     return "(" + ", ".join(format_series(s) for s in v.series) + ")"
-
-
-def coeff_tap(v: SeriesVector, component: int, exponent: int) -> int:
-    """Read one coefficient of one component (1-based component index)."""
-    return v.component(component).coeff(exponent)
 
 
 @dataclass(frozen=True)

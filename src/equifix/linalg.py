@@ -16,9 +16,10 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidQuotient, LimitExceeded
 
 MAX_PRIME = 97
-# Products of reduced matrices are summed in int64 before the final mod:
-# an entry is a sum of at most MAX_DIM terms below p^2, and
-# 512 * 96^2 < 2^63, so no product formed here can overflow.
+# The cap bounds spaces and public inputs; an internal result may have
+# more rows.  Products contract over the coordinates of a space, so an
+# entry is an int64 sum of at most MAX_DIM terms below p^2 before the
+# final mod, and 512 * 96^2 < 2^63 holds whatever the row count.
 MAX_DIM = 512
 
 
@@ -30,6 +31,13 @@ def check_prime(p: int) -> int:
         if p % q == 0:
             raise ValueError(f"p must be prime, got {p} = {q} * {p // q}")
     return p
+
+
+def _check_space(p: int, n: int) -> None:
+    """The public checks on a field and the dimension of a space."""
+    check_prime(p)
+    if n > MAX_DIM:
+        raise LimitExceeded(f"dimension {n} beyond {MAX_DIM}")
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -57,21 +65,28 @@ class FpMatrix:
             raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
         if max(a.shape, default=0) > MAX_DIM:
             raise LimitExceeded(f"matrix dimension beyond {MAX_DIM}: {a.shape}")
-        a = a % p
+        self._init(p, a % p)
+
+    def _init(self, p: int, a: np.ndarray) -> None:
         a.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", a)
+
+    @classmethod
+    def _wrap(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        """Wrap, read-only and unchecked, a reduced 2-D int64 array that
+        the package built and that nothing writes to."""
+        m = object.__new__(cls)
+        m._init(p, a)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("FpMatrix is immutable")
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        _check_space(p, n)
+        return cls._wrap(p, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -93,19 +108,19 @@ class FpMatrix:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return FpMatrix(self.p, self.a + other.a)
+        return FpMatrix._wrap(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_same_field(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return FpMatrix(self.p, self.a - other.a)
+        return FpMatrix._wrap(self.p, (self.a - other.a) % self.p)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
+        return FpMatrix._wrap(self.p, self.a @ other.a % self.p)
 
     def __pow__(self, n: int) -> "FpMatrix":
         if self.rows != self.cols:
@@ -122,7 +137,7 @@ class FpMatrix:
         return result
 
     def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.a * (c % self.p))
+        return FpMatrix._wrap(self.p, self.a * (c % self.p) % self.p)
 
     def apply(self, v) -> np.ndarray:
         """Matrix-vector product m @ v over F_p."""
@@ -132,7 +147,7 @@ class FpMatrix:
         return (self.a @ vec) % self.p
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
+        return FpMatrix._wrap(self.p, self.a.T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
@@ -186,7 +201,7 @@ def rref(m: FpMatrix) -> RrefResult:
         a = (a - np.outer(col, a[r])) % p
         pivots.append(c)
         r += 1
-    return RrefResult(FpMatrix(p, a), r, tuple(pivots))
+    return RrefResult(FpMatrix._wrap(p, a), r, tuple(pivots))
 
 
 def kernel(m: FpMatrix) -> "Subspace":
@@ -195,7 +210,7 @@ def kernel(m: FpMatrix) -> "Subspace":
     One elimination, of m with its columns reversed, then the read-off
     of kernel_from_reversed_rref.
     """
-    red = rref(FpMatrix(m.p, m.a[:, ::-1]))
+    red = rref(FpMatrix._wrap(m.p, m.a[:, ::-1]))
     return kernel_from_reversed_rref(m.p, red.matrix.a[: red.rank], red.pivots)
 
 
@@ -216,7 +231,7 @@ def kernel_from_reversed_rref(p: int, rows: np.ndarray, pivots) -> "Subspace":
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[:, free] = np.eye(free.size, dtype=np.int64)
     basis[:, pivots] = (-rows[:, free].T) % p
-    return Subspace(p, n, FpMatrix(p, basis[::-1, ::-1]))
+    return Subspace(p, n, FpMatrix._wrap(p, basis[::-1, ::-1]))
 
 
 class Subspace:
@@ -237,27 +252,25 @@ class Subspace:
     @classmethod
     def from_rows(cls, p: int, ambient_dim: int, rows) -> "Subspace":
         """Canonicalize arbitrary spanning rows into a Subspace."""
-        if ambient_dim > MAX_DIM:
-            raise LimitExceeded(f"ambient dimension beyond {MAX_DIM}")
+        _check_space(p, ambient_dim)
         mat = np.array(rows, dtype=np.int64)
         if mat.size == 0:  # reshape(-1, 0) is ambiguous for numpy
             mat = mat.reshape(0, ambient_dim)
         else:
             mat = mat.reshape(-1, ambient_dim)
         red = rref(FpMatrix(p, mat))
-        return cls(p, ambient_dim, FpMatrix(p, red.matrix.a[: red.rank]))
+        return cls(p, ambient_dim, FpMatrix._wrap(p, red.matrix.a[: red.rank]))
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
         """{0}: its canonical basis has no rows."""
-        return cls(p, ambient_dim, FpMatrix(p, np.zeros((0, ambient_dim), dtype=np.int64)))
+        _check_space(p, ambient_dim)
+        return cls(p, ambient_dim, FpMatrix._wrap(p, np.zeros((0, ambient_dim), dtype=np.int64)))
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "Subspace":
         """F_p^n: its canonical basis is the identity."""
-        if ambient_dim > MAX_DIM:
-            raise LimitExceeded(f"ambient dimension beyond {MAX_DIM}")
-        return cls(p, ambient_dim, FpMatrix(p, np.eye(ambient_dim, dtype=np.int64)))
+        return cls(p, ambient_dim, FpMatrix.identity(p, ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -327,9 +340,9 @@ class Subspace:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch("rows do not act on the ambient space")
-        b = self.basis.a
-        coeffs = kernel(FpMatrix(self.p, rows @ b.T)).basis.a
-        return Subspace(self.p, self.ambient_dim, FpMatrix(self.p, coeffs @ b))
+        p, b = self.p, self.basis.a
+        coeffs = kernel(FpMatrix._wrap(p, rows @ b.T % p)).basis.a
+        return Subspace(p, self.ambient_dim, FpMatrix._wrap(p, coeffs @ b % p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -373,10 +386,10 @@ def inverse(m: FpMatrix) -> FpMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    red = rref(FpMatrix(m.p, np.hstack([m.a, np.eye(n, dtype=np.int64)])))
+    red = rref(FpMatrix._wrap(m.p, np.hstack([m.a, np.eye(n, dtype=np.int64)])))
     if red.rank != n or red.pivots != tuple(range(n)):
         raise DimensionMismatch("matrix is singular")
-    return FpMatrix(m.p, red.matrix.a[:, n:])
+    return FpMatrix._wrap(m.p, red.matrix.a[:, n:])
 
 
 class QuotientSpace:
@@ -406,11 +419,11 @@ class QuotientSpace:
             raise InvalidQuotient("modded subspace is not contained in the ambient")
         p = ambient.p
         piv = ambient.pivots
-        coords = kernel(FpMatrix(p, modded.basis.a[:, piv]))
+        coords = kernel(FpMatrix._wrap(p, modded.basis.a[:, piv]))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "modded", modded)
-        object.__setattr__(self, "coset_basis", FpMatrix(p, ambient.basis.a[coords.pivots]))
+        object.__setattr__(self, "coset_basis", FpMatrix._wrap(p, ambient.basis.a[coords.pivots]))
         object.__setattr__(self, "_piv", piv)
         object.__setattr__(self, "_coords", coords.basis.a)
 
@@ -452,7 +465,7 @@ class QuotientSpace:
             raise InvalidQuotient("map does not preserve the ambient subspace")
         if not self.modded.spans(self.modded.basis.a @ m.a.T % self.p):
             raise InvalidQuotient("map does not preserve the modded subspace")
-        return FpMatrix(self.p, self.project(self.coset_basis.a @ m.a.T).T)
+        return FpMatrix._wrap(self.p, self.project(self.coset_basis.a @ m.a.T).T)
 
 
 def quotient(ambient: Subspace, modded: Subspace) -> QuotientSpace:

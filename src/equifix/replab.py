@@ -57,14 +57,15 @@ class FiniteRep:
                 raise DimensionMismatch("generator over the wrong field")
             if g.shape != (dim, dim):
                 raise DimensionMismatch(f"generator shape {g.shape} vs dim {dim}")
-        ident = FpMatrix.identity(p, dim)
-        for i, g in enumerate(gens):
-            if g**p != ident:
-                raise NotOrderP(f"generator {i} does not satisfy g^p = id")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if gens[i] @ gens[j] != gens[j] @ gens[i]:
-                    raise NonCommuting(f"generators {i} and {j} do not commute", offsets=(i, j))
+        stack = np.array([g.a for g in gens], dtype=np.int64).reshape(len(gens), dim, dim)
+        bad = _not_order_p(stack, p)
+        if bad.any():
+            raise NotOrderP(f"generator {bad.argmax()} does not satisfy g^p = id")
+        for i in range(len(gens) - 1):
+            bad = (stack[i] @ stack[i + 1 :] % p != stack[i + 1 :] @ stack[i] % p).any(axis=(1, 2))
+            if bad.any():
+                j = i + 1 + int(bad.argmax())
+                raise NonCommuting(f"generators {i} and {j} do not commute", offsets=(i, j))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", gens)
@@ -81,12 +82,25 @@ class FiniteRep:
         return f"FiniteRep(p={self.p}, dim={self.dim}, r={self.r})"
 
 
+def _not_order_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of an (r, n, n) stack over F_p fail g^p = id, with
+    g^p formed for the whole stack at once by repeated squaring."""
+    power, e = None, p
+    while True:
+        if e & 1:
+            power = stack if power is None else power @ stack % p
+        e >>= 1
+        if not e:
+            return (power != np.eye(power.shape[-1], dtype=np.int64)).any(axis=(1, 2))
+        stack = stack @ stack % p
+
+
 def fixed_space(rep: FiniteRep) -> Subspace:
     """V^G = the joint kernel of g - id over the generators."""
-    ident = FpMatrix.identity(rep.p, rep.dim)
+    ident = np.eye(rep.dim, dtype=np.int64)
     space = Subspace.full(rep.p, rep.dim)
     for g in rep.generators:
-        space = space.cut((g - ident).a)
+        space = space.cut(g.a - ident)
     return space
 
 
@@ -139,17 +153,14 @@ def kernel_filtration(g: FpMatrix, p: int) -> FiltrationReport:
     """Filtration of one order-p generator; errors if g^p != id."""
     if g.p != p or g.rows != g.cols:
         raise DimensionMismatch("need a square matrix over F_p")
-    n = g.rows
-    ident = FpMatrix.identity(p, n)
-    if g**p != ident:
+    if _not_order_p(g.a[None], p)[0]:
         raise NotOrderP("matrix does not satisfy g^p = id")
-    nil = g - ident
-    dims = [0]
-    power = ident
-    for _ in range(p):
+    nil = power = g - FpMatrix.identity(p, g.rows)
+    dims = [0, kernel(nil).dim]
+    for _ in range(p - 1):
         power = power @ nil
         dims.append(kernel(power).dim)
-    return FiltrationReport(p, n, tuple(dims))
+    return FiltrationReport(p, g.rows, tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,7 @@ def restrict_rep(rep: FiniteRep, w: Subspace, label: str = "") -> FiniteRep:
         images = w.basis.a @ g.a.T % rep.p
         if not w.spans(images):
             raise ChainInvariantViolation("subspace is not invariant under a generator")
-        mats.append(FpMatrix(rep.p, images[:, w.pivots].T))
+        mats.append(FpMatrix._wrap(rep.p, images[:, w.pivots].T))
     return FiniteRep(rep.p, w.dim, mats, label or rep.label)
 
 
@@ -305,8 +316,3 @@ def random_commuting_rep(rng, p: int, dim: int, r: int, label: str = "random") -
     qi = inverse(q)
     gens = [q @ FpMatrix(p, a) @ qi for a in blocks_per_gen]
     return FiniteRep(p, dim, gens, label)
-
-
-def random_order_p_matrix(rng, p: int, dim: int) -> FpMatrix:
-    """One random unipotent matrix with g^p = id (single-generator case)."""
-    return random_commuting_rep(rng, p, dim, 1).generators[0]

@@ -290,7 +290,7 @@ def induced_matrix(n: SparsePerturbation, w: LatticeWindow) -> FpMatrix:
         r = w.index(e.out_comp, e.out_exp)
         c = w.index(e.in_comp, e.in_exp)
         a[r, c] = (a[r, c] + e.coeff) % w.p
-    return FpMatrix(w.p, a)
+    return FpMatrix._wrap(w.p, a)
 
 
 class SeedAutomorphism:

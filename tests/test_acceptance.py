@@ -43,7 +43,6 @@ from equifix.replab import (
     fixed_space,
     kernel_filtration,
     random_commuting_rep,
-    random_order_p_matrix,
 )
 from equifix.taps import SparsePerturbation, TapEntry
 
@@ -86,7 +85,7 @@ def test_criterion_2_kernel_filtration_laws():
     for _ in range(300):
         p = rng.choice([2, 3, 5])
         dim = rng.randint(1, 20)
-        g = random_order_p_matrix(rng, p, dim)
+        g = random_commuting_rep(rng, p, dim, 1).generators[0]
         report = kernel_filtration(g, p)
         diffs = [b - a for a, b in zip(report.dims, report.dims[1:])]
         assert all(x >= y for x, y in zip(diffs, diffs[1:]))

@@ -419,6 +419,25 @@ def test_tap_runs_on_a_window_near_the_dimension_cap(tmp_path, capsys, command, 
     assert report["result"]["chain"]["window"] == {"lo": lo, "hi": hi}
 
 
+def test_find_fixed_with_more_fixed_conditions_than_the_cap(tmp_path, capsys):
+    """Three taps on a dim-400 window give 597 fixed-space conditions:
+    more rows than the cap, on spaces within it."""
+    cfg = tmp_path / "three.yaml"
+    cfg.write_text(
+        "p: 2\nd: 2\nseed:\n"
+        + "".join(f"  - {{in: [1, 0], out: [2, {k}]}}\n" for k in range(3))
+    )
+    rpt = tmp_path / "three.json"
+    code, _, err = run(
+        capsys, "find-fixed", "--config", str(cfg), "--window=-100:100", "--l-max", "0",
+        "--json", str(rpt),
+    )
+    assert code == 0, err
+    report = load_report(rpt)
+    assert report["status"] == "ok"
+    assert report["result"]["certificate"]["ok"] is True
+
+
 def test_invariant_chain_respects_config_window_key(tmp_path, capsys):
     cfg = tmp_path / "windowed.yaml"
     cfg.write_text("p: 2\nd: 2\nwindow: [0, 3]\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: 1}\n")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from equifix.action import ActionSpec, apply_phi, build_action, random_valid_action
-from equifix.action import generator_matrices
+from equifix.action import fixed_condition_rows, generator_matrices
 from equifix.errors import (
     ChainInvariantViolation,
     DimensionMismatch,
@@ -267,7 +267,7 @@ def test_max_invariant_matches_fixpoint_for_general_invertible_generators():
             block[:k, k:] = [[rng.randrange(p) for _ in range(n - k)] for _ in range(k)]
             gens.append(basis @ FpMatrix(p, block) @ basis_inv)
         ident = FpMatrix.identity(p, n)
-        assert any((g - ident) ** n != FpMatrix.zeros(p, n, n) for g in gens)
+        assert any(((g - ident) ** n).a.any() for g in gens)
         w = LatticeWindow(0, n, d=1, p=p)
         invariant = basis.a.T[:k]  # rows: images of the first k basis vectors
         noise = [np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)]
@@ -404,6 +404,19 @@ def test_fixed_vectors_meet_on_a_window_whose_codims_sum_past_the_cap():
     w = LatticeWindow(-200, 4, d=2, p=2)
     meet = fixed_vectors(a, w, window_b_image(w, floor=2))
     assert meet.dim == 2
+
+
+def test_fixed_vectors_with_more_condition_rows_than_the_cap():
+    # Three taps on a dim-400 window give 597 conditions: more rows than
+    # the cap, on a space within it.  The reference cuts in two batches.
+    a = mk_action(2, 2, [(1, 0, 2, k, 1) for k in range(3)])
+    w = LatticeWindow(-100, 100, d=2, p=2)
+    rows = np.array(fixed_condition_rows(a, w))
+    assert rows.shape == (597, 400)
+    m_hat = m_ell_chain(a, 0, w).m_hat
+    full = Subspace.full(2, w.dim)
+    assert fixed_vectors(a, w) == full.cut(rows[:300]).cut(rows[300:])
+    assert fixed_vectors(a, w, m_hat) == m_hat.cut(rows[:300]).cut(rows[300:])
 
 
 # ---------------------------------------------------------------- witnesses
@@ -675,16 +688,16 @@ def test_singular_generator_differing_from_identity_everywhere_is_rejected():
 
 def test_dimension_mismatch_is_raised_before_singular_generator():
     w = LatticeWindow(0, 2, d=2, p=2)
-    wrong_shape = FpMatrix.zeros(2, w.dim + 1, w.dim + 1)
-    wrong_field = FpMatrix.zeros(3, w.dim, w.dim)
+    wrong_shape = FpMatrix(2, np.zeros((w.dim + 1, w.dim + 1), dtype=np.int64))
+    wrong_field = FpMatrix(3, np.zeros((w.dim, w.dim), dtype=np.int64))
     for g in (wrong_shape, wrong_field):
         with pytest.raises(DimensionMismatch) as info:
             max_invariant_subspace([g], w, window_b_image(w))
         assert not isinstance(info.value, SingularGenerator)
     # Checks run generator by generator, in the order given.
+    singular = FpMatrix(2, np.zeros((w.dim, w.dim), dtype=np.int64))
     with pytest.raises(SingularGenerator):
-        max_invariant_subspace([FpMatrix.zeros(2, w.dim, w.dim), wrong_shape], w,
-                               window_b_image(w))
+        max_invariant_subspace([singular, wrong_shape], w, window_b_image(w))
 
 
 def _recording_rref(monkeypatch):

@@ -23,7 +23,6 @@ from equifix.laurent import (
     LaurentSeries,
     LatticeWindow,
     SeriesVector,
-    coeff_tap,
     coords_to_vector,
     format_series,
     format_vector,
@@ -171,15 +170,12 @@ def test_truncate_drops_high_terms_only():
         s.truncate(9)
 
 
-# ---------------------------------------------------------------- taps
-
-
-def test_coeff_tap_examples():
-    v = SeriesVector([parse_series("1 + t^2 + O(t^5)", 2, 5)])
-    assert coeff_tap(v, 1, 2) == 1
-    assert coeff_tap(v, 1, -7) == 0  # below the support
+def test_series_coeff_examples():
+    s = parse_series("1 + t^2 + O(t^5)", 2, 5)
+    assert s.coeff(2) == 1
+    assert s.coeff(-7) == 0  # below the support
     with pytest.raises(InsufficientPrecision):
-        coeff_tap(v, 1, 5)  # exactly at the precision boundary
+        s.coeff(5)  # exactly at the precision boundary
 
 
 # ---------------------------------------------------------------- windows

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from equifix.errors import DimensionMismatch, InvalidQuotient
+from equifix.errors import DimensionMismatch, InvalidQuotient, LimitExceeded
 from equifix.linalg import (
     FpMatrix,
     Subspace,
@@ -23,6 +23,7 @@ from equifix.linalg import (
     quotient,
     rref,
 )
+from equifix.replab import fixed_space, random_commuting_rep, restrict_rep
 
 
 def all_vectors(p, dim):
@@ -293,6 +294,17 @@ def test_inverse_rejects_singular():
         inverse(FpMatrix(2, [[1, 1], [1, 1]]))
 
 
+def test_inverse_of_a_matrix_past_half_the_cap():
+    # The [m | I] eliminated is 300 x 600: wider than the cap, though m is
+    # within it.
+    rng = np.random.default_rng(11)
+    p, n = 5, 300
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    m = FpMatrix(p, lower @ upper)
+    assert m @ inverse(m) == FpMatrix.identity(p, n)
+
+
 # ---------------------------------------------------------------- quotients
 
 
@@ -492,6 +504,14 @@ def test_cut_matches_the_stacked_intersect(p, n):
             assert np.array_equal(new.basis.a, old.basis.a)
 
 
+def test_cut_by_more_rows_than_the_cap():
+    rng = np.random.default_rng(5)
+    p, n = 3, 40
+    c = rng.integers(0, p, (10, n))
+    rows = rng.integers(0, p, (600, 10)) @ c  # 600 unreduced combinations of c
+    assert Subspace.full(p, n).cut(rows) == kernel(FpMatrix(p, c))
+
+
 def test_cut_rejects_rows_of_another_width():
     s = Subspace.full(3, 4)
     for rows in (np.zeros((2, 5), dtype=np.int64), np.zeros(4, dtype=np.int64)):
@@ -625,3 +645,77 @@ def test_zero_and_full_build_their_bases_directly(monkeypatch):
     monkeypatch.setattr(equifix.linalg, "rref", refusing_rref)
     for n, (zero, full) in expected.items():
         assert Subspace.zero(3, n) == zero and Subspace.full(3, n) == full
+
+
+# ------------------------------------------ validation at the public boundary
+
+
+def boundary_results(name):
+    """The FpMatrix results of one internal operation, on a seeded
+    commuting pair g, h over F_5 and an unreduced public matrix m."""
+    p = 5
+    rep = random_commuting_rep(random.Random(7), p, 6, 2)
+    g, h = rep.generators
+    m = FpMatrix(p, np.random.default_rng(7).integers(-50, 50, (6, 6)))
+    nil = g - FpMatrix.identity(p, 6)
+    if name == "@":
+        return [g @ m]
+    if name == "+":
+        return [g + m]
+    if name == "-":
+        return [g - m]
+    if name == "scale":
+        return [m.scale(-3)]
+    if name == "transpose":
+        return [m.transpose()]
+    if name == "rref":
+        return [rref(m).matrix]
+    if name == "kernel":
+        return [kernel(nil).basis]
+    if name == "Subspace.cut":
+        return [Subspace.from_rows(p, 6, m.a[:4]).cut(7 * m.a[4:] - 100).basis]
+    if name == "QuotientSpace.induced":
+        return [quotient(Subspace.full(p, 6), fixed_space(rep)).induced(h)]
+    if name == "restrict_rep":
+        return list(restrict_rep(rep, kernel(nil @ nil)).generators)
+    assert name == "inverse"
+    return [inverse(g)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["@", "+", "-", "scale", "transpose", "rref", "kernel", "Subspace.cut",
+     "QuotientSpace.induced", "restrict_rep", "inverse"],
+)
+def test_internal_results_are_read_only_reduced_int64(name):
+    for r in boundary_results(name):
+        assert r.p == 5 and r.a.ndim == 2
+        assert r.a.dtype == np.int64
+        assert not r.a.flags.writeable
+        assert ((r.a >= 0) & (r.a < 5)).all()
+
+
+def test_public_constructors_keep_their_checks():
+    with pytest.raises(ValueError):
+        FpMatrix(4, [[1]])
+    with pytest.raises(DimensionMismatch):
+        FpMatrix(2, np.zeros((2, 2, 2), dtype=np.int64))
+    for shape in ((513, 1), (1, 513)):
+        with pytest.raises(LimitExceeded):
+            FpMatrix(2, np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValueError):
+        FpMatrix.identity(6, 2)
+    with pytest.raises(ValueError):
+        Subspace.zero(9, 2)
+    for make in (FpMatrix.identity, Subspace.zero, Subspace.full):
+        with pytest.raises(LimitExceeded):
+            make(2, 513)
+
+
+def test_public_constructor_copies_and_reduces():
+    for data in (np.array([[7, -1], [5, 12]]), np.array([[2, 4], [0, 2]], dtype=np.int64)):
+        m = FpMatrix(5, data)
+        assert m.a.tolist() == [[2, 4], [0, 2]] and m.a.dtype == np.int64
+        assert not m.a.flags.writeable and not np.shares_memory(m.a, data)
+        data[0, 0] = 1
+        assert m.a[0, 0] == 2 and data.flags.writeable

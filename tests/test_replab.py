@@ -27,7 +27,6 @@ from equifix.replab import (
     kernel_filtration,
     quotient_rep,
     random_commuting_rep,
-    random_order_p_matrix,
     restrict_rep,
 )
 
@@ -79,6 +78,45 @@ def test_rep_validates_commutation():
     with pytest.raises(NonCommuting) as info:
         FiniteRep(2, 3, [g1, bad])
     assert info.value.offsets == (0, 1)
+
+
+def reference_rep_error(p, gens):
+    """The per-generator and per-pair FpMatrix checks the batched ones
+    replaced: (error type, message, offsets) of the first failure."""
+    ident = FpMatrix.identity(p, gens[0].rows)
+    for i, g in enumerate(gens):
+        if g**p != ident:
+            return NotOrderP, f"generator {i} does not satisfy g^p = id", None
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if gens[i] @ gens[j] != gens[j] @ gens[i]:
+                return NonCommuting, f"generators {i} and {j} do not commute", (i, j)
+    return None
+
+
+def test_rep_errors_match_the_per_pair_reference():
+    rng = random.Random(457)
+    outcomes = set()
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        dim = rng.randint(1, 5)
+        gens = list(random_commuting_rep(rng, p, dim, rng.randint(1, 6)).generators)
+        for k in range(len(gens)):
+            roll = rng.random()
+            if roll < 0.1:  # most likely not of order p
+                gens[k] = FpMatrix(p, [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)])
+            elif roll < 0.3:  # of order p, most likely not commuting with the rest
+                gens[k] = random_commuting_rep(rng, p, dim, 1).generators[0]
+        expected = reference_rep_error(p, gens)
+        outcomes.add(expected and expected[0])
+        if expected is None:
+            FiniteRep(p, dim, gens)
+            continue
+        with pytest.raises(expected[0]) as info:
+            FiniteRep(p, dim, gens)
+        assert str(info.value) == expected[1]
+        assert getattr(info.value, "offsets", None) == expected[2]
+    assert outcomes == {None, NotOrderP, NonCommuting}
 
 
 def test_rep_caps_generator_count():
@@ -161,7 +199,7 @@ def test_filtration_laws_on_random_generators():
     for _ in range(60):
         p = rng.choice([2, 3, 5])
         dim = rng.randint(1, 6)
-        g = random_order_p_matrix(rng, p, dim)
+        g = random_commuting_rep(rng, p, dim, 1).generators[0]
         rep = kernel_filtration(g, p)
         assert rep.exhausts  # (g - id)^p = 0 forces d(p) = dim
         assert rep.concave  # increments never grow
@@ -329,12 +367,3 @@ def test_random_commuting_rep_shape():
     ident = FpMatrix.identity(3, 7)
     for g in rep.generators:
         assert g**3 == ident
-
-
-def test_random_order_p_matrix_has_order_p():
-    rng = random.Random(454)
-    for _ in range(30):
-        p = rng.choice([2, 3, 5])
-        dim = rng.randint(1, 6)
-        g = random_order_p_matrix(rng, p, dim)
-        assert g**p == FpMatrix.identity(p, dim)
