@@ -159,7 +159,7 @@ class FpMatrix:
 
     def row_strings(self) -> list[str]:
         """Rows as comma-separated digit strings, for debugging and reports."""
-        return [",".join(str(int(x)) for x in row) for row in self.a]
+        return [",".join(map(str, row)) for row in self.a.tolist()]
 
     def __repr__(self) -> str:
         body = "; ".join(self.row_strings())
@@ -313,9 +313,12 @@ class Subspace:
         return not ((vecs - vecs[:, self.pivots] @ self.basis.a) % self.p).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """self + other: the canonical RREF of both bases stacked, which may
+        have up to twice the cap in rows."""
         self._check_compatible(other)
-        stacked = np.vstack([self.basis.a, other.basis.a])
-        return Subspace.from_rows(self.p, self.ambient_dim, stacked)
+        _check_space(self.p, self.ambient_dim)
+        red = rref(FpMatrix._wrap(self.p, np.vstack([self.basis.a, other.basis.a])))
+        return Subspace(self.p, self.ambient_dim, FpMatrix._wrap(self.p, red.matrix.a[: red.rank]))
 
     def constraints(self) -> FpMatrix:
         """Matrix C with self = {v : C @ v = 0} (rows span the annihilator)."""

@@ -67,16 +67,21 @@ def _span_table(p: int, rows) -> np.ndarray:
     Built one row's multiples at a time: once rows[:j] are in, block c of
     the next p^j rows is block c - 1 plus rows[j].  Entries stay below
     2p - 1 between reductions, so the table is as narrow as p allows.
+    Over F_2 the one block is the previous one xor rows[j], which needs
+    no reduction.
     """
     rows = np.asarray(rows) % p
     dtype = np.min_scalar_type(2 * (p - 1))
     table = np.zeros((p ** len(rows), rows.shape[1]), dtype=dtype)
     size = 1
     for row in rows.astype(dtype):
-        for c in range(1, p):
-            block = table[c * size:(c + 1) * size]
-            np.add(table[(c - 1) * size:c * size], row, out=block)
-            block %= p
+        if p == 2:
+            np.bitwise_xor(table[:size], row, out=table[size:2 * size])
+        else:
+            for c in range(1, p):
+                block = table[c * size:(c + 1) * size]
+                np.add(table[(c - 1) * size:c * size], row, out=block)
+                block %= p
         size *= p
     return table
 

@@ -247,6 +247,15 @@ def dichotomy_probe(rep: FiniteRep, chain) -> GrowthReport:
     fixed dimension of V_n / V_n^G, and the exact bound
     dim V_n^G >= dim V_n / p^r.  The chain must be strictly increasing
     and every member invariant under every generator.
+
+    Two layers of the whole space are built once: V^G, with constraint
+    rows C1, and S2 = {v : (g - id) v in V^G for every g}, the kernel of
+    the stacked C1 (g - id), with constraint rows C2.  V_n is invariant,
+    so (g - id) v lies in V_n^G exactly when it lies in V^G: the class
+    of v in V_n / V_n^G is fixed iff v is in S2.  Hence
+    dim V_n^G = dim (V_n cut by C1) and the quotient's fixed dimension is
+    dim (V_n cut by C2) - dim V_n^G, two cuts per member and no derived
+    representation.
     """
     members = list(chain)
     prev: Subspace | None = None
@@ -257,17 +266,23 @@ def dichotomy_probe(rep: FiniteRep, chain) -> GrowthReport:
             if not v.contains(prev) or v.dim <= prev.dim:
                 raise ChainInvariantViolation("chain is not strictly nested")
         prev = v
+    p = rep.p
+    for v in members:
+        for g in rep.generators:
+            if not v.spans(v.basis.a @ g.a.T % p):
+                raise ChainInvariantViolation("subspace is not invariant under a generator")
+    c1 = fixed_space(rep).constraints().a
+    ident = np.eye(rep.dim, dtype=np.int64)
+    moved = np.array([c1 @ (g.a - ident) % p for g in rep.generators], dtype=np.int64)
+    c2 = kernel(FpMatrix._wrap(p, moved.reshape(rep.r * len(c1), rep.dim))).constraints().a
     rows = []
     all_ok = True
     for n, v in enumerate(members, start=1):
-        sub = restrict_rep(rep, v)
-        fixed = fixed_space(sub)
-        qrep = quotient_rep(sub, fixed)
-        qfixed = fixed_space(qrep).dim
-        bound = Fraction(sub.dim, rep.p**rep.r)
-        ok = fixed.dim >= bound
+        fixed = v.cut(c1).dim
+        bound = Fraction(v.dim, p**rep.r)
+        ok = fixed >= bound
         all_ok = all_ok and ok
-        rows.append(GrowthRow(n, sub.dim, fixed.dim, qfixed, bound, ok))
+        rows.append(GrowthRow(n, v.dim, fixed, v.cut(c2).dim - fixed, bound, ok))
     return GrowthReport(tuple(rows), all_ok)
 
 

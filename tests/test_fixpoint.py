@@ -630,17 +630,18 @@ def test_chain_eliminations_stay_within_the_read_off_budget(monkeypatch):
 
 def test_lemma_chain_and_probe_stay_within_the_read_off_budget(monkeypatch):
     """Each shifted copy of m_hat (4) and each nested image (3) is one
-    elimination, the quotient one more, and the probe seven per member:
-    a cut per generator (3) for the member's fixed space, the quotient by
-    it, and a cut per generator on that quotient: 29 rref calls, 115 with
-    a greedy transversal and per-vector coordinates."""
+    elimination and the quotient one more; the probe takes a cut per
+    generator (3) for V^G, one elimination each for its constraints, the
+    second layer and that layer's constraints, and two cuts per member:
+    20 rref calls, 29 when the probe derived two representations per
+    member and 115 with a greedy transversal and per-vector coordinates."""
     a = mk_action(*CHAIN3)
     chain = m_ell_chain(a, 3, default_window(a, 4, 3, n_max=3))
     shapes = _recording_rref(monkeypatch)
     lc = lemma_chain_from_action(a, chain, 3)
     probe = dichotomy_probe(lc.rep, lc.nested)
     assert lc.rep.r == 3 and [row.total_dim for row in probe.rows] == [3, 6, 9]
-    assert len(shapes) <= 29
+    assert len(shapes) <= 20
 
 
 # ------------------------------------------------- generator checks and guards

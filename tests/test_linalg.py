@@ -519,6 +519,27 @@ def test_cut_rejects_rows_of_another_width():
             s.cut(rows)
 
 
+def test_sum_of_subspaces_whose_bases_stack_past_the_cap():
+    eye = np.eye(400, dtype=np.int64)
+    u = Subspace.from_rows(2, 400, eye[:300])
+    v = Subspace.from_rows(2, 400, eye[100:])
+    assert u.sum(v) == Subspace.full(2, 400)
+    assert u.sum(u) == u and v.sum(Subspace.zero(2, 400)) == v
+
+
+def old_row_strings(m):
+    """The per-entry strings row_strings built before."""
+    return [",".join(str(int(x)) for x in row) for row in m.a]
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_row_strings_match_the_per_entry_strings(p):
+    rng = np.random.default_rng(p)
+    for shape in ((0, 0), (0, 4), (3, 0), (1, 1), (5, 7), (12, 3)):
+        m = FpMatrix(p, rng.integers(0, p, shape))
+        assert [r.encode() for r in m.row_strings()] == [r.encode() for r in old_row_strings(m)]
+
+
 # ------------------------------------- quotients against the greedy transversal
 #
 # A test-local copy of the construction the read-off quotient replaced: a

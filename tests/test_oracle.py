@@ -399,3 +399,16 @@ def test_brute_fixed_memory_at_two_to_the_eighteen():
         tracemalloc.stop()
     assert fixed.basis.a.tolist() == [[1] + [0] * 17]
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 12])
+def test_span_table_over_f2_matches_the_digit_sums(k):
+    """Row i of the table is the sum of the rows picked by the binary
+    digits of i, least significant first, reduced mod 2."""
+    from equifix.oracle import _span_table
+
+    rows = np.random.default_rng(k).integers(-5, 6, (k, 9))
+    digits = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    table = _span_table(2, rows)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, digits @ (rows % 2) % 2)

@@ -12,15 +12,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from equifix.action import ActionSpec, build_action
 from equifix.errors import (
     ChainInvariantViolation,
     DimensionMismatch,
     NonCommuting,
     NotOrderP,
 )
+from equifix.fixpoint import default_window, lemma_chain_from_action, m_ell_chain
 from equifix.linalg import FpMatrix, Subspace, kernel
 from equifix.replab import (
     FiniteRep,
+    GrowthRow,
     dichotomy_probe,
     fixed_bound_check,
     fixed_space,
@@ -29,6 +32,7 @@ from equifix.replab import (
     random_commuting_rep,
     restrict_rep,
 )
+from equifix.taps import SparsePerturbation, TapEntry
 
 
 def jordan(p, size):
@@ -354,6 +358,124 @@ def test_dichotomy_probe_from_the_zero_member():
         (3, 1, 1),
     ]
     assert [r.lower_bound for r in report.rows] == [Fraction(0), Fraction(1)]
+
+
+def reference_probe_rows(rep, chain):
+    """The per-member probe dichotomy_probe replaced: restrict to V_n,
+    take its fixed space, the quotient by it, and that quotient's fixed
+    space."""
+    rows = []
+    for n, v in enumerate(chain, start=1):
+        sub = restrict_rep(rep, v)
+        fixed = fixed_space(sub)
+        qfixed = fixed_space(quotient_rep(sub, fixed)).dim
+        bound = Fraction(sub.dim, rep.p**rep.r)
+        rows.append(GrowthRow(n, sub.dim, fixed.dim, qfixed, bound, fixed.dim >= bound))
+    return tuple(rows)
+
+
+def assert_probe_matches_reference(rep, chain):
+    report = dichotomy_probe(rep, chain)
+    assert report.rows == reference_probe_rows(rep, chain)
+    assert report.ok == all(row.ok for row in report.rows)
+
+
+LEMMA_FAMILIES = {
+    "tap": (2, 2, [(1, 0, 2, 0, 1)]),
+    "dropping-tap": (2, 2, [(1, 0, 2, -1, 1)]),
+    "chain-3": (3, 3, [(1, 0, 2, 0, 1), (2, 0, 3, 0, 1)]),
+}
+
+
+def lemma_chain(name, n_max):
+    """The lemma chain of a bundled family at depth 0, precision n_max + 2."""
+    p, d, taps = LEMMA_FAMILIES[name]
+    a = build_action(ActionSpec(p=p, d=d, seed=SparsePerturbation(p, d, [TapEntry(*t) for t in taps])))
+    chain = m_ell_chain(a, 0, default_window(a, n_max + 2, 0, n_max=n_max))
+    return lemma_chain_from_action(a, chain, n_max)
+
+
+@pytest.mark.parametrize("n_max", [4, 5, 6])
+@pytest.mark.parametrize("name", sorted(LEMMA_FAMILIES))
+def test_probe_matches_the_per_member_reference_on_lemma_chains(name, n_max):
+    lc = lemma_chain(name, n_max)
+    assert len(lc.nested) == n_max
+    assert_probe_matches_reference(lc.rep, lc.nested)
+
+
+def kernel_product_chain(rng, rep):
+    """Kernels of growing products of the (g - id): each is invariant,
+    since the generators commute, and each contains the one before."""
+    ident = FpMatrix.identity(rep.p, rep.dim)
+    product = ident
+    chain = [] if rng.random() < 0.5 else [Subspace.zero(rep.p, rep.dim)]
+    while not chain or chain[-1].dim < rep.dim:
+        product = (rng.choice(rep.generators) - ident) @ product
+        member = kernel(product)
+        if not chain or member.dim > chain[-1].dim:
+            chain.append(member)
+    return chain
+
+
+def test_probe_matches_the_per_member_reference_on_random_reps():
+    rng = random.Random(14)
+    seen = set()
+    for trial in range(30):
+        p = [2, 3, 5][trial % 3]
+        rep = random_commuting_rep(rng, p, rng.randint(1, 9), rng.randint(1, 4))
+        chain = kernel_product_chain(rng, rep)
+        assert_probe_matches_reference(rep, chain)
+        seen.update(row.quotient_fixed_dim for row in reference_probe_rows(rep, chain))
+    assert len(seen) >= 3
+
+
+def test_probe_rejects_a_noninvariant_second_member_like_the_reference():
+    rep = FiniteRep(2, 4, [blocks(2, 2, 2)])
+    line = Subspace.from_rows(2, 4, [[1, 0, 0, 0]])
+    off = Subspace.from_rows(2, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])  # g moves e4 to e3 + e4
+    chain = [line, off, Subspace.full(2, 4)]
+    with pytest.raises(ChainInvariantViolation) as expected:
+        reference_probe_rows(rep, chain)
+    with pytest.raises(ChainInvariantViolation) as info:
+        dichotomy_probe(rep, chain)
+    assert str(info.value) == str(expected.value) == "subspace is not invariant under a generator"
+
+
+def test_probe_without_generators_has_no_quotient_fixed_part():
+    rep = FiniteRep(3, 4, [])
+    chain = [Subspace.zero(3, 4), Subspace.from_rows(3, 4, [[1, 2, 0, 1]]), Subspace.full(3, 4)]
+    report = dichotomy_probe(rep, chain)
+    assert [(row.total_dim, row.fixed_dim) for row in report.rows] == [(0, 0), (1, 1), (4, 4)]
+    assert [row.quotient_fixed_dim for row in report.rows] == [0, 0, 0]
+    assert report.rows == reference_probe_rows(rep, chain)
+
+
+def test_probe_eliminations_stay_within_the_two_layer_budget(monkeypatch):
+    """r cuts for V^G, its constraints, the second layer and its
+    constraints, then two cuts per member: r + 3 + 2 * members = 21 rref
+    calls on chain-3 at n_max 6 (r = 6, six members), 78 when each member
+    derived two representations.  No FiniteRep is built."""
+    import equifix.linalg
+
+    lc = lemma_chain("chain-3", 6)
+    members = len(lc.nested)
+    real = equifix.linalg.rref
+    calls, reps = [], []
+
+    def counting_rref(m):
+        calls.append(m.shape)
+        return real(m)
+
+    def refusing_init(self, *args, **kwargs):
+        reps.append(args)
+        raise AssertionError("FiniteRep built")
+
+    monkeypatch.setattr(equifix.linalg, "rref", counting_rref)
+    monkeypatch.setattr(FiniteRep, "__init__", refusing_init)
+    report = dichotomy_probe(lc.rep, lc.nested)
+    assert (lc.rep.r, members) == (6, 6) and report.ok
+    assert len(calls) <= lc.rep.r + 3 + 2 * members == 21
+    assert reps == []
 
 
 # ---------------------------------------------------------------- generators
