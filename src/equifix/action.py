@@ -98,31 +98,20 @@ def build_action(spec: ActionSpec) -> Action:
     return Action(spec, auto, derive_modulus(spec.seed))
 
 
-def _factor_threshold(a: Action, target_prec: int) -> int | None:
-    """First k whose generator is invisible mod t^target_prec (None = all)."""
-    return a.modulus.threshold(target_prec)
-
-
 def _factors(a: Action, x: LaurentSeries, target_prec: int) -> list[tuple[int, int]]:
     """The (k, c_k) monomial factors of x that are visible mod t^target_prec."""
     if x.p != a.p:
         raise DimensionMismatch("series and action live over different fields")
     if a.seed.is_zero:
         return []
-    threshold = _factor_threshold(a, target_prec)
+    # The first k whose generator is invisible mod t^target_prec.
+    threshold = a.modulus.threshold(target_prec)
     if x.prec < threshold:
         raise InsufficientPrecision(
             f"x known mod t^{x.prec} does not determine the action mod t^{target_prec}; "
             f"need x mod t^{threshold}"
         )
-    if x.is_zero:
-        return []
-    out = []
-    for k in range(x.val, min(x.prec, threshold)):
-        c = x.coeff(k)
-        if c:
-            out.append((k, c))
-    return out
+    return [(k, c) for k, c in x.terms.items() if k < threshold]
 
 
 @dataclass(frozen=True)

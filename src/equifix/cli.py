@@ -11,10 +11,12 @@ Subcommands
 Configs are YAML with keys p, d, seed (a list of
 {in: [comp, exp], out: [comp, exp], coeff: c} taps), and optional
 label, precision, l_max, n_max, window ("lo:hi" or [lo, hi]) and
-rng_seed.  Any other key, and an integer field holding anything but a
-YAML integer, is a parse error.  Flags override config values.  Exit
-codes: 0 success, 1 validation failure, 2 soft failure (window,
-precision or l_max too small), 3 I/O or usage error.
+rng_seed.  Any other key, an integer field holding anything but a YAML
+integer, a seed that is not a list and a label that is not a string are
+parse errors; a null seed or label means the empty default.  Flags
+override config values.  Exit codes: 0 success, 1 validation failure,
+2 soft failure (window, precision or l_max too small), 3 I/O or usage
+error.
 """
 
 from __future__ import annotations
@@ -218,16 +220,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _optional(data: dict, key: str, default):
+    """A config value; a missing key and null both mean the default."""
+    value = data.get(key)
+    return default if value is None else value
+
+
 def _check_config(data: dict) -> None:
-    """Reject unknown keys and integer fields holding anything but a YAML
-    integer; each ValueError names the offending key."""
+    """Reject unknown keys, integer fields holding anything but a YAML
+    integer, a seed that is not a list and a label that is not a string;
+    each ValueError names the offending key."""
     for key in data:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
     for key in _INT_KEYS:
         if data.get(key) is not None and not _is_int(data[key]):
             raise ValueError(f"config key {key!r} must be an integer, got {data[key]!r}")
-    seed = data.get("seed") or []
+    seed = _optional(data, "seed", [])
     if not isinstance(seed, list):
         raise ValueError(f"config key 'seed' must be a list of taps, got {seed!r}")
     for i, item in enumerate(seed):
@@ -242,6 +251,9 @@ def _check_config(data: dict) -> None:
             if key != "coeff" and len(parts) == 2 and abs(parts[1]) > MAX_EXPONENT:
                 raise LimitExceeded(f"seed[{i}] key {key!r} exponent {parts[1]} beyond "
                                     f"±{MAX_EXPONENT}")
+    label = _optional(data, "label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"config key 'label' must be a string, got {label!r}")
     window = data.get("window")
     if isinstance(window, list) and not all(_is_int(x) for x in window):
         raise ValueError(f"config key 'window' must hold integers, got {window!r}")
@@ -252,15 +264,14 @@ def _spec_from_data(data: dict) -> ActionSpec:
     try:
         p = int(data["p"])
         d = int(data["d"])
-        raw = data.get("seed") or []
         entries = []
-        for item in raw:
+        for item in _optional(data, "seed", []):
             in_c, in_e = item["in"]
             out_c, out_e = item["out"]
             entries.append(
                 TapEntry(int(in_c), int(in_e), int(out_c), int(out_e), int(item.get("coeff", 1)))
             )
-        label = str(data.get("label", ""))
+        label = _optional(data, "label", "")
         seed = SparsePerturbation(p, d, entries)
         return ActionSpec(p=p, d=d, seed=seed, label=label)
     except (KeyError, TypeError, IndexError) as exc:
@@ -290,7 +301,9 @@ def _fallback_action_dict(data: dict) -> dict:
         except (TypeError, ValueError):
             return 0
 
-    return {"p": _int("p"), "d": _int("d"), "label": str(data.get("label", "")), "seed": []}
+    label = _optional(data, "label", "")
+    return {"p": _int("p"), "d": _int("d"), "label": label if isinstance(label, str) else "",
+            "seed": []}
 
 
 def _resolve_params(args, data: dict) -> dict:

@@ -32,7 +32,7 @@ class SeriesParseError(EquifixError, ValueError):
 
 
 class ExponentOverflow(EquifixError, ValueError):
-    """Exponent or precision magnitude beyond the dense-storage bound."""
+    """Exponent, precision or series span beyond the documented input cap."""
 
 
 class InsufficientPrecision(EquifixError, ValueError):

@@ -1,11 +1,10 @@
 """Truncated Laurent series over F_p and finite lattice windows.
 
-A series is known exactly modulo t^prec.  Nonzero series store a dense
-coefficient run from the valuation up to (but excluding) the precision
-order; the zero series keeps only its precision.  All values are
-immutable and every operation is exact: precision never silently
-increases, and asking for a coefficient at or beyond the precision is
-an error rather than a guess.
+A series is known exactly modulo t^prec and is stored as its nonzero
+terms below that order; the zero series keeps only its precision.  All
+values are immutable and every operation is exact: precision never
+silently increases, and asking for a coefficient at or beyond the
+precision is an error rather than a guess.
 
 Series literals follow a small grammar, whitespace-insensitive::
 
@@ -37,8 +36,8 @@ from .errors import (
 )
 from .linalg import MAX_DIM, check_prime
 
-# Dense storage bound: exponents and precision spans beyond this are
-# refused rather than allocated.
+# The documented input cap: an exponent, precision or span from valuation
+# to precision beyond it is refused (the CLI files it as limit-exceeded).
 MAX_EXPONENT = 10**6
 
 
@@ -49,35 +48,30 @@ def _check_exponent(e: int) -> int:
 
 
 class LaurentSeries:
-    """A Laurent series over F_p known modulo t^prec."""
+    """A Laurent series over F_p known modulo t^prec.
 
-    __slots__ = ("p", "prec", "val", "coeffs")
+    `terms` maps each exponent below prec whose coefficient is nonzero
+    to that coefficient, reduced mod p, in ascending exponent order.
+    """
+
+    __slots__ = ("p", "prec", "terms")
 
     def __init__(self, p: int, val: int, coeffs, prec: int):
+        """The dense run sum_i coeffs[i] * t^(val + i), known modulo t^prec."""
         check_prime(p)
         _check_exponent(prec)
         _check_exponent(val)
-        cs = [int(c) % p for c in coeffs]
-        # Drop anything at or beyond the precision order.
-        if val + len(cs) > prec:
-            cs = cs[: max(0, prec - val)]
-        # Normalize: strip leading zeros, raising the valuation.
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        cs = cs[lead:]
-        val = val + lead
-        if not cs:
-            object.__setattr__(self, "val", None)
-            object.__setattr__(self, "coeffs", ())
-        else:
+        self._fill(p, {val + i: int(c) for i, c in enumerate(coeffs)}, prec)
+
+    def _fill(self, p: int, terms: dict[int, int], prec: int):
+        live = {e: c % p for e, c in sorted(terms.items()) if e < prec and c % p}
+        if live:
+            val = _check_exponent(next(iter(live)))
             if prec - val > MAX_EXPONENT:
                 raise ExponentOverflow(f"span {prec - val} beyond {MAX_EXPONENT}")
-            cs = cs + [0] * (prec - val - len(cs))
-            object.__setattr__(self, "val", val)
-            object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "terms", live)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -97,22 +91,22 @@ class LaurentSeries:
 
     @classmethod
     def from_terms(cls, p: int, terms: dict[int, int], prec: int) -> "LaurentSeries":
-        """Build from an exponent -> coefficient mapping."""
-        live = {e: c % p for e, c in terms.items() if c % p and e < prec}
-        if not live:
-            return cls.zero(p, prec)
-        val = min(live)
-        _check_exponent(val)
-        if prec - val > MAX_EXPONENT:
-            raise ExponentOverflow(f"span {prec - val} beyond {MAX_EXPONENT}")
-        cs = [0] * (prec - val)
-        for e, c in live.items():
-            cs[e - val] = c
-        return cls(p, val, cs, prec)
+        """Build from an exponent -> coefficient mapping; terms at or past
+        prec and coefficients divisible by p are dropped."""
+        check_prime(p)
+        _check_exponent(prec)
+        s = cls.__new__(cls)
+        s._fill(p, terms, prec)
+        return s
+
+    @property
+    def val(self) -> int | None:
+        """The valuation: the lowest exponent with a nonzero coefficient."""
+        return next(iter(self.terms), None)
 
     @property
     def is_zero(self) -> bool:
-        return self.val is None
+        return not self.terms
 
     def coeff(self, e: int) -> int:
         """Coefficient of t^e; exact for e < prec, error beyond."""
@@ -120,15 +114,11 @@ class LaurentSeries:
             raise InsufficientPrecision(
                 f"coefficient of t^{e} requested from a series known mod t^{self.prec}"
             )
-        if self.is_zero or e < self.val:
-            return 0
-        return self.coeffs[e - self.val]
+        return self.terms.get(e, 0)
 
     def support(self) -> tuple[int, ...]:
         """Exponents with nonzero coefficient."""
-        if self.is_zero:
-            return ()
-        return tuple(self.val + i for i, c in enumerate(self.coeffs) if c)
+        return tuple(self.terms)
 
     def _check_same_field(self, other: "LaurentSeries"):
         if self.p != other.p:
@@ -137,37 +127,26 @@ class LaurentSeries:
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
         """Coefficientwise sum; precision is the minimum of the operands'."""
         self._check_same_field(other)
-        prec = min(self.prec, other.prec)
-        if self.is_zero and other.is_zero:
-            return LaurentSeries.zero(self.p, prec)
-        vals = [s.val for s in (self, other) if not s.is_zero]
-        val = min(vals)
-        cs = [0] * max(0, prec - val)
-        for s in (self, other):
-            if s.is_zero:
-                continue
-            for i, c in enumerate(s.coeffs):
-                e = s.val + i
-                if e < prec:
-                    cs[e - val] = (cs[e - val] + c) % self.p
-        return LaurentSeries(self.p, val, cs, prec)
+        acc = dict(self.terms)
+        for e, c in other.terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return LaurentSeries.from_terms(self.p, acc, min(self.prec, other.prec))
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other)
 
     def scale(self, c: int) -> "LaurentSeries":
         """Scalar multiple; the precision window is unchanged."""
-        c = c % self.p
-        if self.is_zero or c == 0:
-            return LaurentSeries.zero(self.p, self.prec)
-        return LaurentSeries(self.p, self.val, [c * x for x in self.coeffs], self.prec)
+        return LaurentSeries.from_terms(
+            self.p, {e: c * x for e, x in self.terms.items()}, self.prec
+        )
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k: valuation and precision both move by k."""
         _check_exponent(k)
-        if self.is_zero:
-            return LaurentSeries.zero(self.p, self.prec + k)
-        return LaurentSeries(self.p, self.val + k, self.coeffs, self.prec + k)
+        return LaurentSeries.from_terms(
+            self.p, {e + k: c for e, c in self.terms.items()}, self.prec + k
+        )
 
     def truncate(self, prec: int) -> "LaurentSeries":
         """Forget information: reduce the precision to prec <= self.prec."""
@@ -175,22 +154,15 @@ class LaurentSeries:
             raise InsufficientPrecision(
                 f"cannot extend precision from {self.prec} to {prec}"
             )
-        if self.is_zero:
-            return LaurentSeries.zero(self.p, prec)
-        return LaurentSeries(self.p, self.val, self.coeffs, prec)
+        return LaurentSeries.from_terms(self.p, self.terms, prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.prec == other.prec
-            and self.val == other.val
-            and self.coeffs == other.coeffs
-        )
+        return self.p == other.p and self.prec == other.prec and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.p, self.prec, self.val, self.coeffs))
+        return hash((self.p, self.prec, tuple(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.p}, {format_series(self)!r})"
@@ -319,10 +291,7 @@ def format_series(s: LaurentSeries) -> str:
         body = "0"
     else:
         parts = []
-        for i, c in enumerate(s.coeffs):
-            if not c:
-                continue
-            e = s.val + i
+        for e, c in s.terms.items():
             if e == 0:
                 parts.append(str(c))
             else:
@@ -464,16 +433,15 @@ def window_coords(v: SeriesVector, w: LatticeWindow) -> np.ndarray:
             f"vector known mod t^{v.prec} cannot fill a window reaching t^{w.hi}"
         )
     out = np.zeros(w.dim, dtype=np.int64)
-    for c in range(1, w.d + 1):
-        s = v.component(c)
-        for e in s.support():
+    for comp, s in enumerate(v.series, start=1):
+        for e, c in s.terms.items():
             if e >= w.hi:
                 continue
             if e < w.lo:
                 raise OutsideWindow(
-                    f"component {c} has a t^{e} term below the window floor {w.lo}"
+                    f"component {comp} has a t^{e} term below the window floor {w.lo}"
                 )
-            out[w.index(c, e)] = s.coeff(e)
+            out[w.index(comp, e)] = c
     return out
 
 

@@ -171,6 +171,13 @@ STRICT_CONFIG_CASES = [
     ("p: 2\nd: true\nseed: []\n", "d"),
     ("p: 2\nd: 2\nseed: []\nwindow: [-1.5, 3]\n", "window"),
     ("p: 2\nd: 2\nseed: 5\n", "seed"),
+    ("p: 2\nd: 2\nseed: 0\n", "seed"),
+    ("p: 2\nd: 2\nseed: false\n", "seed"),
+    ("p: 2\nd: 2\nseed: ''\n", "seed"),
+    ("p: 2\nd: 2\nseed: {}\n", "seed"),
+    ("p: 2\nd: 2\nseed: []\nlabel: 5\n", "label"),
+    ("p: 2\nd: 2\nseed: []\nlabel: [a, b]\n", "label"),
+    ("p: 2\nd: 2\nseed: []\nlabel: true\n", "label"),
 ]
 
 
@@ -203,7 +210,19 @@ def test_strict_config_message_names_the_key(tmp_path, capsys, text, key):
     rpt = tmp_path / "bad.json"
     code, _, _ = run(capsys, "find-fixed", "--config", str(cfg), "--json", str(rpt))
     assert code == 1
-    assert f"'{key}'" in load_report(rpt)["result"]["message"]
+    report = load_report(rpt)
+    assert f"'{key}'" in report["result"]["message"]
+    assert report["action"]["label"] == ""  # none of these configs has a string label
+
+
+def test_null_seed_and_label_mean_the_defaults(tmp_path, capsys):
+    cfg = tmp_path / "nulls.yaml"
+    cfg.write_text("p: 2\nd: 2\nseed: null\nlabel: null\n")
+    rpt = tmp_path / "nulls.json"
+    code, _, _ = run(capsys, "validate", "--config", str(cfg), "--json", str(rpt))
+    assert code == 0
+    action = load_report(rpt)["action"]
+    assert (action["label"], action["seed"]) == ("", [])
 
 
 def test_unreadable_config_exits_three(tmp_path, capsys):

@@ -20,6 +20,7 @@ from equifix.errors import (
     SeriesParseError,
 )
 from equifix.laurent import (
+    MAX_EXPONENT,
     LaurentSeries,
     LatticeWindow,
     SeriesVector,
@@ -37,7 +38,7 @@ from equifix.laurent import (
 
 def test_parse_basic_literal():
     s = parse_series("1 + t^2 + O(t^5)", 2, 9)
-    assert (s.val, list(s.coeffs), s.prec) == (0, [1, 0, 1, 0, 0], 5)
+    assert (s.val, s.terms, s.prec) == (0, {0: 1, 2: 1}, 5)
 
 
 def test_parse_zero_with_explicit_order():
@@ -47,7 +48,7 @@ def test_parse_zero_with_explicit_order():
 
 def test_parse_negative_valuation_default_precision():
     s = parse_series("2*t^-1 + t", 3, 4)
-    assert (s.val, list(s.coeffs), s.prec) == (-1, [2, 0, 1, 0, 0], 4)
+    assert (s.val, s.terms, s.prec) == (-1, {-1: 2, 1: 1}, 4)
 
 
 @pytest.mark.parametrize("text,p,default_prec,expected", CANON_CASES)
@@ -142,7 +143,7 @@ def test_add_precision_is_min_and_valuation_renormalizes():
     b = parse_series("t + O(t^4)", 2, 4)
     out = a.add(b)
     assert out.prec == 4
-    assert (out.val, list(out.coeffs)) == (2, [1, 0])
+    assert (out.val, out.terms) == (2, {2: 1})
 
 
 def test_add_rejects_mixed_moduli():
@@ -176,6 +177,152 @@ def test_series_coeff_examples():
     assert s.coeff(-7) == 0  # below the support
     with pytest.raises(InsufficientPrecision):
         s.coeff(5)  # exactly at the precision boundary
+
+
+def test_series_checks_keep_their_messages():
+    with pytest.raises(ExponentOverflow, match="span 1100000 beyond 1000000"):
+        LaurentSeries.from_terms(2, {-600000: 1}, 500000)
+    with pytest.raises(ExponentOverflow, match=f"exponent -1000001 beyond ±{MAX_EXPONENT}"):
+        LaurentSeries(2, -1000001, [1], 0)
+    with pytest.raises(ExponentOverflow, match="exponent 1000001 beyond"):
+        LaurentSeries.zero(2, 3).shift(999998)
+    with pytest.raises(InsufficientPrecision, match="t\\^3 requested .* mod t\\^3"):
+        LaurentSeries.zero(2, 3).coeff(3)
+
+
+def test_wide_sparse_series_stores_its_terms_only():
+    text = "t^-500000 + t^499999 + O(t^500000)"
+    s = parse_series(text, 2, 0)
+    assert s.terms == {-500000: 1, 499999: 1}
+    assert format_series(s) == text
+    assert parse_series(format_series(s), 2, 0) == s
+
+
+class _DenseSeries:
+    """The dense-run series these tests check against: every coefficient
+    from the valuation up to the precision, leading zeros stripped."""
+
+    def __init__(self, p, val, coeffs, prec):
+        cs = [int(c) % p for c in coeffs][: max(0, prec - val)]
+        lead = 0
+        while lead < len(cs) and cs[lead] == 0:
+            lead += 1
+        cs = cs[lead:]
+        self.p, self.prec = p, prec
+        self.val = val + lead if cs else None
+        self.coeffs = tuple(cs + [0] * (prec - val - lead - len(cs))) if cs else ()
+
+    @classmethod
+    def from_terms(cls, p, terms, prec):
+        live = {e: c % p for e, c in terms.items() if c % p and e < prec}
+        if not live:
+            return cls(p, 0, (), prec)
+        val = min(live)
+        cs = [0] * (prec - val)
+        for e, c in live.items():
+            cs[e - val] = c
+        return cls(p, val, cs, prec)
+
+    def coeff(self, e):
+        if e >= self.prec:
+            raise InsufficientPrecision(e)
+        if self.val is None or e < self.val:
+            return 0
+        return self.coeffs[e - self.val]
+
+    def support(self):
+        if self.val is None:
+            return ()
+        return tuple(self.val + i for i, c in enumerate(self.coeffs) if c)
+
+    def add(self, other):
+        prec = min(self.prec, other.prec)
+        vals = [s.val for s in (self, other) if s.val is not None]
+        if not vals:
+            return _DenseSeries(self.p, 0, (), prec)
+        val = min(vals)
+        cs = [0] * max(0, prec - val)
+        for s in (self, other):
+            for i, c in enumerate(s.coeffs):
+                e = s.val + i
+                if e < prec:
+                    cs[e - val] = (cs[e - val] + c) % self.p
+        return _DenseSeries(self.p, val, cs, prec)
+
+    def scale(self, c):
+        c = c % self.p
+        if self.val is None or c == 0:
+            return _DenseSeries(self.p, 0, (), self.prec)
+        return _DenseSeries(self.p, self.val, [c * x for x in self.coeffs], self.prec)
+
+    def shift(self, k):
+        if self.val is None:
+            return _DenseSeries(self.p, 0, (), self.prec + k)
+        return _DenseSeries(self.p, self.val + k, self.coeffs, self.prec + k)
+
+    def truncate(self, prec):
+        if prec > self.prec:
+            raise InsufficientPrecision(prec)
+        if self.val is None:
+            return _DenseSeries(self.p, 0, (), prec)
+        return _DenseSeries(self.p, self.val, self.coeffs, prec)
+
+    def key(self):
+        return (self.p, self.prec, self.val, self.coeffs)
+
+    def format(self):
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                e = self.val + i
+                stem = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+                parts.append(str(c) if not stem else stem if c == 1 else f"{c}*{stem}")
+        return f"{' + '.join(parts) or '0'} + O(t^{self.prec})"
+
+
+def _agree(s, ref):
+    assert (s.p, s.prec, s.val) == (ref.p, ref.prec, ref.val)
+    assert s.support() == ref.support()
+    assert format_series(s) == ref.format()
+    for e in range(min(s.prec, -10) - 3, s.prec):
+        assert s.coeff(e) == ref.coeff(e)
+    with pytest.raises(InsufficientPrecision):
+        s.coeff(s.prec)
+
+
+def test_terms_agree_with_the_dense_run():
+    rng = random.Random(415)
+
+    def sample(p):
+        prec = rng.randint(-6, 9)
+        if rng.random() < 0.15:
+            terms = {}
+        else:
+            terms = {rng.randint(-9, 10): rng.randrange(-p, 2 * p)
+                     for _ in range(rng.randint(1, 6))}
+        return LaurentSeries.from_terms(p, terms, prec), _DenseSeries.from_terms(p, terms, prec)
+
+    pairs = []
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 97])
+        (a, ra), (b, rb) = sample(p), sample(p)
+        _agree(a, ra)
+        _agree(a.add(b), ra.add(rb))
+        c = rng.randrange(-p, 2 * p)
+        _agree(a.scale(c), ra.scale(c))
+        k = rng.randint(-6, 6)
+        _agree(a.shift(k), ra.shift(k))
+        lo = (a.prec if a.is_zero else a.val) - 2
+        cut = rng.randint(lo - 2, a.prec)  # at times below the valuation
+        _agree(a.truncate(cut), ra.truncate(cut))
+        # The same series as a dense run with leading zeros and terms past prec.
+        dense = LaurentSeries(p, lo, [ra.coeff(e) for e in range(lo, a.prec)] + [1], a.prec)
+        pairs += [(a, ra), (dense, ra), (b, rb), (a.add(b).add(b), ra.add(rb).add(rb))]
+    shuffled = rng.sample(pairs, len(pairs))
+    for (x, rx), (y, ry) in [*zip(pairs, pairs[1:]), *zip(pairs, shuffled)]:
+        assert (x == y) == (rx.key() == ry.key())
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 # ---------------------------------------------------------------- windows
