@@ -62,7 +62,7 @@ for k in (0, 1, 2):
     same = moved == cert.witness.truncate(cert.precision - drop.drop)
     print(f"  phi(t^{k})(witness) == witness up to O(t^{moved.prec}): {same}")
 
-print("\none-call form (policy window, retry-once on narrow windows)")
+print("\none-call form (policy window, doubled when the certificate cannot read there)")
 chain, cert = find_fixed_point(drop, 4, 3)
 print(f"  find_fixed_point -> {format_vector(cert.witness)}, certified: {cert.ok}")
 print("done")

@@ -208,15 +208,12 @@ def equivariance_check(a: Action, samples, precision: int | None = None) -> Equi
     return EquivarianceReport(tuple(results), all_ok)
 
 
-def generator_matrices(
-    a: Action, ell: int, w: LatticeWindow, stop: int | None = None
-) -> list[tuple[int, FpMatrix]]:
+def generator_matrices(a: Action, ell: int, w: LatticeWindow) -> list[tuple[int, FpMatrix]]:
     """Window matrices of the generators g_k for k = -ell up to the threshold.
 
     The list stops at the first k whose modulus pushes every write to
     t^hi or beyond; deeper k act as the identity on the window.  The
-    trivial action has no visible generators at all.  With `stop`, the
-    list also ends before k = stop (stop = 1 - ell gives g_{-ell} alone).
+    trivial action has no visible generators at all.
     """
     if w.p != a.p or w.d != a.d:
         raise DimensionMismatch("window and action are incompatible")
@@ -225,8 +222,6 @@ def generator_matrices(
     if a.seed.is_zero:
         return []
     threshold = a.modulus.threshold(w.hi)
-    if stop is not None:
-        threshold = min(threshold, stop)
     return [
         (k, induced_matrix(a.seed.conjugate(k), w)) for k in range(-ell, threshold)
     ]

@@ -399,8 +399,9 @@ def _classify(exc: Exception) -> tuple[int, str, str]:
 def _policy_suggestion(action: Action, params: dict, tried: dict | None) -> str | None:
     """Retry window for a soft failure that names none: the window tried
     joined with the policy window, or the tried window widened when the
-    join adds nothing.  No window tried means find_fixed_point's own
-    retry, which runs on the widened policy window."""
+    join adds nothing.  No window tried means find_fixed_point chose its
+    own; start from the widened policy window, the larger of the two it
+    chooses between."""
     try:
         policy = default_window(action, params["precision"], params["l_max"],
                                 n_max=params.get("n_max", 0))
@@ -605,7 +606,7 @@ def _lemma_check(action: Action, params: dict, w: LatticeWindow, oracle: bool):
 
 # name -> (compute, policy_window).  policy_window True: the explicit window,
 # else the policy's; False: the explicit window or None (find_fixed_point
-# sizes and retries its own); None: the command takes no window.
+# sizes its own); None: the command takes no window.
 COMMANDS = {
     "validate": (_validate, None),
     "find-fixed": (_find_fixed, False),

@@ -4,8 +4,9 @@ The pipeline realized here, all in exact window coordinates:
 
   1. Close the constraint rows of the lattice image (the unit rows of
      the exponents below 0) under right multiplication by the visible
-     generators, in one spin-up that lives for the whole chain: depth 0
-     adds g_0 .. g_{T-1}, depth ell adds only g_{-ell}, and M̂_ell is the
+     generators, in one spin-up that lives for the whole chain and takes
+     each generator as its taps on the window: depth 0 adds
+     g_0 .. g_{T-1}, depth ell adds only g_{-ell}, and M̂_ell is the
      kernel of the closed row space after depth ell, the largest
      subspace of the lattice image that every generator up to that
      depth maps onto itself.  The closed rows are kept in canonical
@@ -40,7 +41,6 @@ from .errors import (
     ChainInvariantViolation,
     DimensionMismatch,
     EmptyFixedSpace,
-    InsufficientPrecision,
     InvalidQuotient,
     LimitExceeded,
     LMaxTooSmall,
@@ -64,6 +64,7 @@ from .linalg import (
     rref,
 )
 from .replab import FiniteRep
+from .taps import window_taps
 
 
 def window_b_image(w: LatticeWindow, floor: int = 0) -> Subspace:
@@ -113,13 +114,14 @@ class _SpinUp:
 
     R is kept as the canonical RREF rows of R*P, P the permutation that
     reverses the columns, with their pivot columns: rows and generators
-    enter as r*P and P*g*P, and R*g ⊆ R iff (R*P)(P*g*P) ⊆ R*P, so the
-    closure below runs unchanged in reversed coordinates.  The RREF of
-    R*P is what linalg.kernel eliminates R to, so kernel() is the
-    canonical basis of ker R read off with no elimination.  A row
-    space that starts as unit rows is already canonical (sorted by
-    pivot) and is set directly.  R is replaced on every merge, never
-    written in place, so a reference to `rows` is a snapshot.
+    enter as r*P and P*g*P (entry (i, j) of g moves to (n-1-i, n-1-j)),
+    and R*g ⊆ R iff (R*P)(P*g*P) ⊆ R*P, so the closure below runs
+    unchanged in reversed coordinates.  The RREF of R*P is what
+    linalg.kernel eliminates R to, so kernel() is the canonical basis of
+    ker R read off with no elimination.  A row space that starts as unit
+    rows is already canonical (sorted by pivot) and is set directly.  R
+    is replaced on every merge, never written in place, so a reference
+    to `rows` is a snapshot.
 
     The closure is semi-naive: a generator entering multiplies the rows
     already in R once, and each block of rows entering R is multiplied
@@ -128,9 +130,11 @@ class _SpinUp:
     reduced against R before they are merged, so the merged rows are
     independent of R and no matrix formed here exceeds n = w.dim rows.
 
-    A generator is kept as its taps: g = I + N with N nonzero only in the
-    columns C where g differs from I (and, within them, only in the rows
-    where N is nonzero).
+    A generator enters as its taps, the nonzero entries of N in g = I + N
+    (taps.window_taps; add_generator reads them off a dense matrix), and
+    is kept as the block of N on the rows and the columns C where N is
+    nonzero.  A generator with no taps on the window is the identity and
+    is not kept.
 
       * Invertibility is checked on g[C, C].  Order C first: the columns
         outside C are identity columns, so g is block lower triangular
@@ -155,18 +159,34 @@ class _SpinUp:
         self.gens: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add_generator(self, m: FpMatrix) -> None:
+        """Add the generator m, a dense window matrix."""
         n, p = self.w.dim, self.w.p
         if m.p != p or m.shape != (n, n):
             raise DimensionMismatch("generator does not act on the window")
-        g = m.a[::-1, ::-1]
-        taps = g.copy()
-        taps[np.diag_indices(n)] -= 1
-        taps %= p
-        cols = np.flatnonzero(taps.any(axis=0))
-        if cols.size and rref(FpMatrix._wrap(p, g[np.ix_(cols, cols)])).rank != cols.size:
+        taps = (m.a - np.eye(n, dtype=np.int64)) % p
+        r, c = np.nonzero(taps)
+        self.add_taps(dict(zip(zip(r.tolist(), c.tolist()), taps[r, c].tolist())))
+
+    def add_taps(self, entries: dict[tuple[int, int], int]) -> None:
+        """Add the generator I + N, N given by its nonzero entries
+        {(row, col): coeff} in window coordinates."""
+        if not entries:
+            return
+        last, p = self.w.dim - 1, self.w.p
+        rows = sorted({last - r for r, _ in entries})
+        cols = sorted({last - c for _, c in entries})
+        at_row = {r: i for i, r in enumerate(rows)}
+        at_col = {c: i for i, c in enumerate(cols)}
+        taps = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        square = np.eye(len(cols), dtype=np.int64)  # g[C, C]
+        for (r, c), coeff in entries.items():
+            r, c = last - r, at_col[last - c]
+            taps[at_row[r], c] = coeff
+            if r in at_col:
+                square[at_col[r], c] += coeff
+        if rref(FpMatrix._wrap(p, square % p)).rank != len(cols):
             raise SingularGenerator("generator is singular on the window")
-        rows = np.flatnonzero(taps.any(axis=1))
-        gen = (rows, cols, taps[np.ix_(rows, cols)])
+        gen = (np.array(rows), np.array(cols), taps)
         self.gens.append(gen)
         self._close(self.rows, [gen])
 
@@ -269,6 +289,8 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
 
     One spin-up serves every depth (see max_invariant_subspace for why
     its kernel is M̂_ell), so each generator is checked and applied once.
+    Generators enter as their taps on the window (taps.window_taps): no
+    dense window matrix is built.
 
     Raises WindowTooNarrow up front for a window without exponent 0 (the
     shell every member must meet), and LMaxTooSmall when t * m_hat
@@ -284,6 +306,12 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         raise WindowTooNarrow(
             f"window [{w.lo},{w.hi}) leaves out exponent 0, where every member meets the shell"
         )
+    if w.p != a.p or w.d != a.d:
+        raise DimensionMismatch("window and action are incompatible")
+    # g_k for k >= top acts as the identity on the window.  The trivial
+    # action has no visible generators: top = -l_max leaves every depth's
+    # range below empty.
+    top = -l_max if a.seed.is_zero else a.modulus.threshold(w.hi)
     b_img = window_b_image(w)
     t_b_img = window_b_image(w, floor=1)
     # The constraint rows of the lattice image: the unit rows of the
@@ -292,12 +320,12 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     subs: list[Subspace] = []
     cuts: list[np.ndarray] = []  # R after each depth, in window coordinates
     for ell in range(l_max + 1):
-        # The generators up to depth ell are g_{-ell} .. g_{T-1}: depth 0
-        # builds g_0 .. g_{T-1} and depth ell only g_{-ell}, so each is
+        # The generators up to depth ell are g_{-ell} .. g_{top-1}: depth 0
+        # adds g_0 .. g_{top-1} and depth ell only g_{-ell}, so each is
         # built once, and a window too narrow for g_{-ell} fails at depth
-        # ell with the message of the full list (g_{-ell} is its first).
-        for _, m in generator_matrices(a, ell, w, stop=None if ell == 0 else 1 - ell):
-            spin.add_generator(m)
+        # ell with the message action.generator_matrices gives.
+        for k in range(0, top) if ell == 0 else range(-ell, min(top, 1 - ell)):
+            spin.add_taps(window_taps(a.seed.conjugate(k), w))
         sub = spin.kernel()
         if not b_img.contains(sub):
             raise ChainInvariantViolation("member escapes the lattice image")
@@ -534,6 +562,25 @@ def widen_window(w: LatticeWindow) -> LatticeWindow:
     return LatticeWindow(-2 * max(-w.lo, 1), 2 * max(w.hi, 1), w.d, w.p)
 
 
+def _certificate_reads_fit(a: Action, precision: int, w: LatticeWindow) -> bool:
+    """Whether extract_witness's certificate at this precision can read
+    every tap it needs on w.
+
+    The certificate applies each g_k, k in [-max_in_exp,
+    threshold(precision)), to a witness known mod t^hi, at that full
+    precision.  A tap of N_k that writes below t^hi reads its input
+    coefficient, which must lie below t^hi (SparsePerturbation.apply).
+    Tap e fails for the k with hi - e.in_exp <= k < hi - e.out_exp.
+    """
+    if a.seed.is_zero:
+        return True
+    top = a.modulus.threshold(precision)
+    return not any(
+        max(-a.max_in_exp, w.hi - e.in_exp) < min(top, w.hi - e.out_exp)
+        for e in a.seed.entries
+    )
+
+
 def find_fixed_point(
     a: Action,
     precision: int,
@@ -542,17 +589,18 @@ def find_fixed_point(
 ) -> tuple[InvariantChain, FixedPointCertificate]:
     """End-to-end pipeline: chain, fixed space, certified witness.
 
-    With the default window sizing, a window-too-narrow or insufficient-
-    precision failure triggers one automatic retry on a doubled window;
-    an explicitly supplied window is used as given.
+    An explicitly supplied window is used as given.  Otherwise the window
+    is chosen before any elimination: the policy window, doubled once
+    (widen_window) when the certificate could not read its taps there.
+    The policy window's floor covers every generator depth and its top
+    covers the precision, so on it neither the chain nor the witness
+    raises WindowTooNarrow, and the certificate's reads are the only
+    source of InsufficientPrecision; nothing is retried.
     """
-    w = window if window is not None else default_window(a, precision, l_max)
-    try:
-        chain = m_ell_chain(a, l_max, w)
-        return chain, extract_witness(a, chain, precision)
-    except (WindowTooNarrow, InsufficientPrecision):
-        if window is not None:
-            raise
-        w = widen_window(w)
-        chain = m_ell_chain(a, l_max, w)
-        return chain, extract_witness(a, chain, precision)
+    w = window
+    if w is None:
+        w = default_window(a, precision, l_max)
+        if not _certificate_reads_fit(a, precision, w):
+            w = widen_window(w)
+    chain = m_ell_chain(a, l_max, w)
+    return chain, extract_witness(a, chain, precision)

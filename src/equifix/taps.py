@@ -265,17 +265,18 @@ def inverse_perturbation(n: SparsePerturbation) -> SparsePerturbation:
     return result
 
 
-def induced_matrix(n: SparsePerturbation, w: LatticeWindow) -> FpMatrix:
-    """Window matrix of g = id + N on t^lo B / t^hi B.
+def window_taps(n: SparsePerturbation, w: LatticeWindow) -> dict[tuple[int, int], int]:
+    """The nonzero entries {(row, col): coeff} of N on t^lo B / t^hi B.
 
     Columns follow window coordinates of canonical representatives:
     taps reading outside [lo, hi) see zero; writes at or above hi
     vanish mod t^hi; a write below lo means the window cannot represent
-    the image and the window is too narrow.
+    the image and the window is too narrow.  Distinct taps of N land on
+    distinct entries, each with its nonzero coefficient.
     """
     if n.p != w.p or n.d != w.d:
         raise DimensionMismatch("perturbation and window are incompatible")
-    a = np.eye(w.dim, dtype=np.int64)
+    entries = {}
     for e in n.entries:
         if not w.contains_exp(e.in_exp):
             continue
@@ -287,9 +288,16 @@ def induced_matrix(n: SparsePerturbation, w: LatticeWindow) -> FpMatrix:
                 f"the window floor {w.lo}",
                 entry=e,
             )
-        r = w.index(e.out_comp, e.out_exp)
-        c = w.index(e.in_comp, e.in_exp)
-        a[r, c] = (a[r, c] + e.coeff) % w.p
+        entries[w.index(e.out_comp, e.out_exp), w.index(e.in_comp, e.in_exp)] = e.coeff
+    return entries
+
+
+def induced_matrix(n: SparsePerturbation, w: LatticeWindow) -> FpMatrix:
+    """Window matrix of g = id + N on t^lo B / t^hi B: the identity plus
+    the entries of window_taps."""
+    a = np.eye(w.dim, dtype=np.int64)
+    for (r, c), coeff in window_taps(n, w).items():
+        a[r, c] = (a[r, c] + coeff) % w.p
     return FpMatrix._wrap(w.p, a)
 
 

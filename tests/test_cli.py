@@ -387,6 +387,35 @@ def test_find_fixed_oracle_verdicts(tmp_path, capsys):
     assert load_report(huge)["result"]["oracle"]["m_hat_check"] == "skipped-budget"
 
 
+WIDENED_CONFIG = (
+    "p: 2\nd: 4\nseed:\n"
+    "  - {in: [1, 3], out: [3, -2]}\n"
+    "  - {in: [2, 0], out: [3, -2]}\n"
+    "  - {in: [1, -2], out: [3, -1]}\n"
+)
+
+
+def test_find_fixed_widens_the_policy_window_its_certificate_cannot_read(tmp_path, capsys):
+    """The seed reads t^3 and writes t^-2: at precision 2 the certificate
+    cannot read its taps on the policy window [-7,4), so find-fixed runs
+    on the doubled window [-14,8) and certifies there, with the result
+    --window=-14:8 gives."""
+    cfg = tmp_path / "widened.yaml"
+    cfg.write_text(WIDENED_CONFIG)
+    reports = []
+    for window in ([], ["--window=-14:8"]):
+        rpt = tmp_path / f"widened{len(reports)}.json"
+        code, _, err = run(capsys, "find-fixed", "--config", str(cfg), "--precision", "2",
+                           "--l-max", "5", *window, "--json", str(rpt))
+        assert code == 0, err
+        reports.append(load_report(rpt))
+    chain = reports[0]["result"]["chain"]
+    assert chain["window"] == {"lo": -14, "hi": 8}
+    assert chain["dims"] == [30, 29, 28, 27, 27, 27]
+    assert reports[0]["result"]["certificate"]["ok"] is True
+    assert reports[0]["result"] == reports[1]["result"]
+
+
 # ---------------------------------------------------------------- chain/lemma
 
 

@@ -20,6 +20,8 @@ from equifix.errors import (
     ChainInvariantViolation,
     DimensionMismatch,
     EmptyFixedSpace,
+    EquifixError,
+    InsufficientPrecision,
     LMaxTooSmall,
     SingularGenerator,
     WindowTooNarrow,
@@ -42,7 +44,7 @@ from equifix.laurent import LatticeWindow, format_vector, parse_series
 from equifix.linalg import FpMatrix, Subspace, inverse, map_image, map_preimage
 from equifix.oracle import brute_max_invariant
 from equifix.replab import dichotomy_probe
-from equifix.taps import SparsePerturbation, TapEntry
+from equifix.taps import SparsePerturbation, TapEntry, window_taps
 
 
 def mk_action(p, d, taps, label=""):
@@ -492,7 +494,7 @@ def test_find_fixed_point_rejects_explicit_narrow_window():
 
 def test_find_fixed_point_default_window_recovers():
     # The policy window always works for the bundled families, so the
-    # retry path is exercised via the explicit-window contrast above.
+    # widened window is exercised by the property tests below.
     a = mk_action(*DROP)
     chain, cert = find_fixed_point(a, 2, 1)
     assert cert.ok and chain.window.lo <= -2
@@ -752,20 +754,21 @@ def test_contains_makes_no_elimination(monkeypatch):
 
 
 def test_chain_builds_each_generator_matrix_once(monkeypatch):
-    import equifix.action
+    """Each generator's window taps are built once across all depths."""
+    import equifix.fixpoint
 
     a = mk_action(*DROP)
     w = default_window(a, 16, 12)
     distinct = len(generator_matrices(a, 12, w))
     reference = m_ell_chain(a, 12, w)
-    real = equifix.action.induced_matrix
+    real = equifix.fixpoint.window_taps
     built = []
 
-    def counting_induced_matrix(n, win):
+    def counting_window_taps(n, win):
         built.append(n)
         return real(n, win)
 
-    monkeypatch.setattr(equifix.action, "induced_matrix", counting_induced_matrix)
+    monkeypatch.setattr(equifix.fixpoint, "window_taps", counting_window_taps)
     chain = m_ell_chain(a, 12, w)
     assert len(built) == distinct == 12 + a.modulus.threshold(w.hi)
     assert chain == reference
@@ -796,9 +799,10 @@ def _spin_up_by_depth(a, l_max, w):
     from equifix.fixpoint import _SpinUp
 
     spin = _SpinUp(w, [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)])
+    top = -l_max if a.seed.is_zero else a.modulus.threshold(w.hi)
     for ell in range(l_max + 1):
-        for _, m in generator_matrices(a, ell, w, stop=None if ell == 0 else 1 - ell):
-            spin.add_generator(m)
+        for k in range(0, top) if ell == 0 else range(-ell, min(top, 1 - ell)):
+            spin.add_taps(window_taps(a.seed.conjugate(k), w))
         yield spin
 
 
@@ -945,7 +949,124 @@ def test_find_fixed_point_does_not_widen_for_l_max_too_small(monkeypatch):
     monkeypatch.setattr(equifix.fixpoint, "m_ell_chain", recording_chain)
     with pytest.raises(LMaxTooSmall):
         find_fixed_point(a, 4, 0)
-    assert windows == [default_window(a, 4, 0)]
+    # The seed reads t^2 and writes t^-2, so the certificate cannot read
+    # its taps on the policy window [-2, 6): the one chain runs widened.
+    assert windows == [widen_window(default_window(a, 4, 0))]
+
+
+# A seed that reads t^3 and writes t^-2: the certificate cannot read its
+# taps on the policy window [-7, 4) at precision 2 and l_max 5.
+WIDENED_INPUT = (2, 4, [(1, 3, 3, -2, 1), (2, 0, 3, -2, 1), (1, -2, 3, -1, 1)])
+
+
+def test_find_fixed_point_widens_before_a_chain_that_cannot_stabilize():
+    """The one change in find_fixed_point's outputs: the policy window's
+    chain raised LMaxTooSmall before the certificate, so no retry ran;
+    the window is now widened first, and the result is the one the
+    widened window gives when passed explicitly."""
+    a = mk_action(*WIDENED_INPUT)
+    w = default_window(a, 2, 5)
+    assert (w.lo, w.hi) == (-7, 4)
+    with pytest.raises(LMaxTooSmall):
+        m_ell_chain(a, 5, w)
+    chain, cert = find_fixed_point(a, 2, 5)
+    assert chain.window == widen_window(w) == LatticeWindow(-14, 8, d=4, p=2)
+    assert chain.dims() == [30, 29, 28, 27, 27, 27] and cert.ok
+    explicit, explicit_cert = find_fixed_point(a, 2, 5, window=chain.window)
+    assert (chain.to_dict(), cert.to_dict()) == (explicit.to_dict(), explicit_cert.to_dict())
+
+
+def _outcome(fn, *args):
+    """fn's result, or the EquifixError it raised."""
+    try:
+        return fn(*args)
+    except EquifixError as exc:
+        return exc
+
+
+def _report(outcome):
+    """A (chain, certificate) pair as its reports; an error as its type
+    and message."""
+    if isinstance(outcome, EquifixError):
+        return type(outcome), str(outcome)
+    return outcome[0].to_dict(), outcome[1].to_dict()
+
+
+def test_window_choice_matches_the_two_attempt_route():
+    """Over seeded random actions:
+
+    (a) the window test fails exactly when extract_witness raises
+        InsufficientPrecision on that window's chain (policy window, and
+        the doubled one where the two-attempt route reaches it);
+    (b) find_fixed_point gives what the two-attempt route gave (run the
+        policy window, and on WindowTooNarrow or InsufficientPrecision
+        run it doubled), except where its first attempt raised before
+        the certificate and the window test widened;
+    (c) the result is the one its own window gives when passed."""
+    from equifix.fixpoint import _certificate_reads_fit
+
+    rng = random.Random(2024)
+    seen = {"fits": 0, "cannot read": 0, "retried": 0, "early": 0, "widened early": 0}
+
+    def attempt(a, precision, l_max, w):
+        chain = _outcome(m_ell_chain, a, l_max, w)
+        if isinstance(chain, EquifixError):
+            return chain
+        cert = _outcome(extract_witness, a, chain, precision)
+        if not isinstance(cert, EmptyFixedSpace):  # (a): the certificate ran
+            fits = _certificate_reads_fit(a, precision, w)
+            assert fits == (not isinstance(cert, InsufficientPrecision))
+            seen["fits" if fits else "cannot read"] += 1
+        return cert if isinstance(cert, EquifixError) else (chain, cert)
+
+    for trial in range(1000):
+        a = random_valid_action(rng, (2, 3, 5)[trial % 3], rng.randint(2, 4),
+                                exp_lo=-3, exp_hi=3)
+        precision, l_max = rng.randint(1, 3), rng.randint(0, 3)
+        w = default_window(a, precision, l_max)
+        expected = first = attempt(a, precision, l_max, w)
+        if isinstance(first, (WindowTooNarrow, InsufficientPrecision)):
+            seen["retried"] += 1
+            expected = attempt(a, precision, l_max, widen_window(w))
+        elif isinstance(first, EquifixError):
+            seen["early"] += 1
+            if not _certificate_reads_fit(a, precision, w):
+                seen["widened early"] += 1
+                continue
+        got = _outcome(find_fixed_point, a, precision, l_max)
+        assert _report(got) == _report(expected), trial  # (b)
+        if not isinstance(got, EquifixError):  # (c)
+            again = find_fixed_point(a, precision, l_max, window=got[0].window)
+            assert _report(again) == _report(got), trial
+    assert min(seen.values()) >= 50, seen
+
+
+def test_chain_builds_no_dense_matrix(monkeypatch):
+    """m_ell_chain feeds window taps to the spin-up: with induced_matrix
+    raising, the bundled-family chains and the dim-500 tap chain still
+    equal max_invariant_subspace of their dense generators."""
+    import equifix.action
+    import equifix.taps
+
+    cases = [(mk_action(*fam), l_max, default_window(mk_action(*fam), precision, l_max))
+             for fam in FAMILIES.values() for precision, l_max in ((4, 3), (8, 6))]
+    cases.append((mk_action(*TAP), 0, LatticeWindow(-150, 100, d=2, p=2)))
+    references = []
+    for a, l_max, w in cases:
+        b = window_b_image(w)
+        references.append([
+            max_invariant_subspace([m for _, m in generator_matrices(a, ell, w)], w, b)
+            for ell in range(l_max + 1)
+        ])
+
+    def no_dense(n, w):
+        raise AssertionError("dense generator matrix built")
+
+    monkeypatch.setattr(equifix.taps, "induced_matrix", no_dense)
+    monkeypatch.setattr(equifix.action, "induced_matrix", no_dense)
+    for (a, l_max, w), expected in zip(cases, references):
+        assert list(m_ell_chain(a, l_max, w).subspaces) == expected
+    assert references[-1][0].dim == 200
 
 
 @pytest.mark.parametrize("lo, hi", [(3, 4), (1, 5), (-4, -3), (-4, 0)])
@@ -956,3 +1077,15 @@ def test_window_without_exponent_zero_is_too_narrow(lo, hi):
             m_ell_chain(a, 1, LatticeWindow(lo, hi, d=a.d, p=a.p))
         assert info.value.suggestion is None
 
+
+
+def test_chain_checks_its_window_and_depth_as_the_generator_list_does():
+    """m_ell_chain builds no generator list, but keeps its checks."""
+    for fam in (TRIVIAL, TAP, DROP):
+        a = mk_action(*fam)
+        with pytest.raises(DimensionMismatch, match="window and action are incompatible"):
+            m_ell_chain(a, 1, LatticeWindow(-1, 2, d=a.d, p=3))
+        with pytest.raises(DimensionMismatch, match="window and action are incompatible"):
+            m_ell_chain(a, 1, LatticeWindow(-1, 2, d=a.d + 1, p=a.p))
+        with pytest.raises(ValueError, match="l_max must be >= 0"):
+            m_ell_chain(a, -1, default_window(a, 2, 0))
