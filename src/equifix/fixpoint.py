@@ -76,7 +76,7 @@ def window_b_image(w: LatticeWindow, floor: int = 0) -> Subspace:
     idx = sorted(
         w.index(c, e) for c in range(1, w.d + 1) for e in range(max(w.lo, floor), w.hi)
     )
-    return Subspace(w.p, w.dim, FpMatrix._wrap(w.p, np.eye(w.dim, dtype=np.int64)[idx]))
+    return Subspace(w.p, w.dim, FpMatrix._wrap(w.p, np.eye(w.dim, dtype=np.int64)[idx]), idx)
 
 
 def _shift(rows: np.ndarray, src: LatticeWindow, dst: LatticeWindow, n: int) -> np.ndarray:
@@ -139,7 +139,9 @@ class _SpinUp:
       * Invertibility is checked on g[C, C].  Order C first: the columns
         outside C are identity columns, so g is block lower triangular
         with diagonal blocks g[C, C] and I, and det g = det g[C, C].
-        When every column differs from I this is the full elimination.
+        When no tap writes into a row of C, g[C, C] = I and nothing is
+        eliminated; otherwise g[C, C] is, and when every column differs
+        from I this is the full elimination.
       * Every block being closed already lies in R, and row*g = row +
         row*N, so R + span(block*g) = R + span(delta) with delta =
         block*N, which is supported on C.  Only delta is reduced against
@@ -184,7 +186,8 @@ class _SpinUp:
             taps[at_row[r], c] = coeff
             if r in at_col:
                 square[at_col[r], c] += coeff
-        if rref(FpMatrix._wrap(p, square % p)).rank != len(cols):
+        square_is_identity = at_row.keys().isdisjoint(at_col)
+        if not square_is_identity and rref(FpMatrix._wrap(p, square % p)).rank != len(cols):
             raise SingularGenerator("generator is singular on the window")
         gen = (np.array(rows), np.array(cols), taps)
         self.gens.append(gen)

@@ -4,7 +4,10 @@ Matrices are immutable wrappers around numpy int64 arrays with every
 entry reduced mod p; vectors are plain 1-D int64 arrays.  Matrices act
 on column vectors (``m @ v``).  Subspaces are stored as row spans in
 canonical reduced row echelon form, so two subspaces are equal exactly
-when their basis arrays are equal.
+when their basis arrays are equal; each keeps the pivot columns of its
+basis.  Over F_2, rref eliminates on packed rows (one Python int per
+row, a row operation one XOR); its RREF is bit-identical to that of the
+int64 elimination, which odd p keep.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ MAX_PRIME = 97
 # The cap bounds spaces and public inputs; an internal result may have
 # more rows.  Products contract over the coordinates of a space, so an
 # entry is an int64 sum of at most MAX_DIM terms below p^2 before the
-# final mod, and 512 * 96^2 < 2^63 holds whatever the row count.
+# final mod, and 512 * 96^2 < 2^63 holds whatever the row count.  That
+# int64 bound binds odd p only: over F_2 a product entry is at most
+# MAX_DIM, and rref eliminates on rows packed into Python ints, which
+# have no width limit.
 MAX_DIM = 512
 
 
@@ -179,9 +185,13 @@ def rref(m: FpMatrix) -> RrefResult:
     Returns the reduced matrix, its rank, and the pivot column indices.
     The output is the canonical representative of the row space: two
     matrices have the same row space iff their rrefs are identical
-    after dropping zero rows.
+    after dropping zero rows.  Over F_2 the elimination runs on packed
+    rows (_rref_f2); the RREF is unique, so the result is the same.
     """
     p = m.p
+    if p == 2:
+        a, pivots = _rref_f2(m.a)
+        return RrefResult(FpMatrix._wrap(p, a), len(pivots), pivots)
     a = np.array(m.a, dtype=np.int64)
     nrows, ncols = a.shape
     pivots: list[int] = []
@@ -204,6 +214,36 @@ def rref(m: FpMatrix) -> RrefResult:
     return RrefResult(FpMatrix._wrap(p, a), r, tuple(pivots))
 
 
+def _rref_f2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """RREF of a 0/1 matrix over F_2, on rows packed into Python ints
+    (the M4RI idea, Albrecht–Bard–Hart 2010).
+
+    Row i is the big-endian integer of its packed bytes, so column c is
+    bit 8*width - 1 - c and a row's leading column is read off its
+    bit_length.  The next pivot row is the remaining row with the largest
+    bit_length; every other row with that bit set, pivot rows included,
+    is XORed with it.  Pivots therefore come in increasing column order,
+    each cleared from every other row: that is the RREF.
+    """
+    nrows, ncols = a.shape
+    width = -(-ncols // 8)  # bytes per packed row; the pad bits stay 0
+    data = np.packbits(a, axis=1).tobytes()
+    rows = [int.from_bytes(data[i * width : (i + 1) * width], "big") for i in range(nrows)]
+    rows = [r for r in rows if r]
+    done: list[int] = []
+    while rows:
+        top = max(rows)
+        bit = 1 << (top.bit_length() - 1)
+        done = [r ^ top if r & bit else r for r in done]
+        done.append(top)
+        rows = [x for r in rows if (x := r ^ top if r & bit else r)]
+    out = np.zeros((nrows, ncols), dtype=np.int64)
+    if done:
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "big") for r in done), dtype=np.uint8)
+        out[: len(done)] = np.unpackbits(packed.reshape(len(done), width), axis=1, count=ncols)
+    return out, tuple([8 * width - r.bit_length() for r in done])
+
+
 def kernel(m: FpMatrix) -> "Subspace":
     """Null space {v : m @ v = 0} as a canonical Subspace.
 
@@ -223,7 +263,8 @@ def kernel_from_reversed_rref(p: int, rows: np.ndarray, pivots) -> "Subspace":
     vector of free column f is 1 at f and nonzero elsewhere only at pivot
     columns right of f.  So the vectors, taken by ascending f, lead at
     distinct free columns and vanish at every other free column: they
-    already are the canonical RREF basis.
+    already are the canonical RREF basis, with the free columns as its
+    pivots.
     """
     n = rows.shape[1]
     pivots = list(pivots)
@@ -231,20 +272,29 @@ def kernel_from_reversed_rref(p: int, rows: np.ndarray, pivots) -> "Subspace":
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[:, free] = np.eye(free.size, dtype=np.int64)
     basis[:, pivots] = (-rows[:, free].T) % p
-    return Subspace(p, n, FpMatrix._wrap(p, basis[::-1, ::-1]))
+    return Subspace(p, n, FpMatrix._wrap(p, basis[::-1, ::-1]), n - 1 - free[::-1])
 
 
 class Subspace:
-    """Row-span of vectors in F_p^n, stored as a canonical rref basis."""
+    """Row-span of vectors in F_p^n, stored as a canonical rref basis
+    with the pivot column of each basis row (a read-only int64 array)."""
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "basis", "pivots")
 
-    def __init__(self, p: int, ambient_dim: int, basis: FpMatrix):
+    def __init__(self, p: int, ambient_dim: int, basis: FpMatrix, pivots=None):
         # `basis` must already be a canonical rref with no zero rows;
-        # use from_rows to build from arbitrary spanning vectors.
+        # use from_rows to build from arbitrary spanning vectors.  Each
+        # row's pivot is its first nonzero column, read off here unless
+        # the caller already knows them.
+        if pivots is None:
+            a = basis.a
+            pivots = (a != 0).argmax(axis=1) if a.size else ()
+        pivots = np.array(pivots, dtype=np.int64)
+        pivots.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -259,29 +309,22 @@ class Subspace:
         else:
             mat = mat.reshape(-1, ambient_dim)
         red = rref(FpMatrix(p, mat))
-        return cls(p, ambient_dim, FpMatrix._wrap(p, red.matrix.a[: red.rank]))
+        return cls(p, ambient_dim, FpMatrix._wrap(p, red.matrix.a[: red.rank]), red.pivots)
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
         """{0}: its canonical basis has no rows."""
         _check_space(p, ambient_dim)
-        return cls(p, ambient_dim, FpMatrix._wrap(p, np.zeros((0, ambient_dim), dtype=np.int64)))
+        return cls(p, ambient_dim, FpMatrix._wrap(p, np.zeros((0, ambient_dim), dtype=np.int64)), ())
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "Subspace":
         """F_p^n: its canonical basis is the identity."""
-        return cls(p, ambient_dim, FpMatrix.identity(p, ambient_dim))
+        return cls(p, ambient_dim, FpMatrix.identity(p, ambient_dim), np.arange(ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    @property
-    def pivots(self) -> list[int]:
-        """Pivot column of each basis row: the basis is RREF with no zero
-        rows, so each row's pivot is its first nonzero column."""
-        a = self.basis.a
-        return (a != 0).argmax(axis=1).tolist() if a.size else []
 
     def _check_compatible(self, other: "Subspace"):
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -318,7 +361,9 @@ class Subspace:
         self._check_compatible(other)
         _check_space(self.p, self.ambient_dim)
         red = rref(FpMatrix._wrap(self.p, np.vstack([self.basis.a, other.basis.a])))
-        return Subspace(self.p, self.ambient_dim, FpMatrix._wrap(self.p, red.matrix.a[: red.rank]))
+        return Subspace(
+            self.p, self.ambient_dim, FpMatrix._wrap(self.p, red.matrix.a[: red.rank]), red.pivots
+        )
 
     def constraints(self) -> FpMatrix:
         """Matrix C with self = {v : C @ v = 0} (rows span the annihilator)."""
@@ -336,16 +381,18 @@ class Subspace:
         c*B (B the basis of self) satisfies the rows iff rows*B^T*c = 0,
         so the result is K*B for K the canonical basis of
         kernel(rows*B^T).  A product of RREF matrices is RREF: row i of
-        K*B leads at B's pivot pivK[i] and vanishes at the other pivots
-        B[pivK], so K*B is canonical as it stands.  No matrix formed
-        exceeds max(#rows, n) on a side.
+        K*B leads at B's pivot piv[pivK[i]] and vanishes at the other
+        pivots of B, so K*B is canonical as it stands, with pivots
+        piv[pivK].  No matrix formed exceeds max(#rows, n) on a side.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch("rows do not act on the ambient space")
         p, b = self.p, self.basis.a
-        coeffs = kernel(FpMatrix._wrap(p, rows @ b.T % p)).basis.a
-        return Subspace(p, self.ambient_dim, FpMatrix._wrap(p, coeffs @ b % p))
+        coeffs = kernel(FpMatrix._wrap(p, rows @ b.T % p))
+        return Subspace(
+            p, self.ambient_dim, FpMatrix._wrap(p, coeffs.basis.a @ b % p), self.pivots[coeffs.pivots]
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -414,20 +461,18 @@ class QuotientSpace:
         a = c*I[T] + d*C gives a @ K^T = c, with nothing eliminated.
     """
 
-    __slots__ = ("p", "ambient", "modded", "coset_basis", "_piv", "_coords")
+    __slots__ = ("p", "ambient", "modded", "coset_basis", "_coords")
 
     def __init__(self, ambient: Subspace, modded: Subspace):
         ambient._check_compatible(modded)
         if not ambient.contains(modded):
             raise InvalidQuotient("modded subspace is not contained in the ambient")
         p = ambient.p
-        piv = ambient.pivots
-        coords = kernel(FpMatrix._wrap(p, modded.basis.a[:, piv]))
+        coords = kernel(FpMatrix._wrap(p, modded.basis.a[:, ambient.pivots]))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "modded", modded)
         object.__setattr__(self, "coset_basis", FpMatrix._wrap(p, ambient.basis.a[coords.pivots]))
-        object.__setattr__(self, "_piv", piv)
         object.__setattr__(self, "_coords", coords.basis.a)
 
     def __setattr__(self, name, value):
@@ -445,7 +490,7 @@ class QuotientSpace:
             raise DimensionMismatch("vectors do not live in the ambient space")
         if not self.ambient.spans(np.atleast_2d(vecs)):
             raise DimensionMismatch("vector is not in the ambient subspace")
-        return vecs[..., self._piv] @ self._coords.T % self.p
+        return vecs[..., self.ambient.pivots] @ self._coords.T % self.p
 
     def lift(self, coords) -> np.ndarray:
         """Canonical representative of the class with the given coordinates."""

@@ -109,8 +109,16 @@ class SparsePerturbation:
             raise DimensionMismatch("perturbations live on different spaces")
 
     def conjugate(self, k: int) -> "SparsePerturbation":
-        """t^k N t^{-k}: every entry's exponents shift by k."""
-        return SparsePerturbation(self.p, self.d, (e.shifted(k) for e in self.entries))
+        """t^k N t^{-k}: every entry's exponents shift by k.
+
+        The shift keeps the entries sorted, distinct, reduced and nonzero,
+        so the result is built without the constructor's merge and sort.
+        """
+        out = object.__new__(SparsePerturbation)
+        object.__setattr__(out, "p", self.p)
+        object.__setattr__(out, "d", self.d)
+        object.__setattr__(out, "entries", tuple([e.shifted(k) for e in self.entries]))
+        return out
 
     def add(self, other: "SparsePerturbation") -> "SparsePerturbation":
         self._check_compatible(other)

@@ -719,26 +719,67 @@ def _recording_rref(monkeypatch):
     return shapes
 
 
+# Whether a family's taps write into the columns they read: tap and
+# dropping-tap write and read disjoint slots, chain-3's middle slot is both.
+CHECK_ELIMINATES = {"tap": False, "dropping-tap": False, "chain-3": True}
+
+
 @pytest.mark.parametrize("name", ["tap", "dropping-tap", "chain-3"])
 def test_tap_generator_check_eliminates_only_its_changed_columns(monkeypatch, name):
     """Each generator's invertibility check is one |C|x|C| elimination,
-    C the columns where g differs from I (at most one per tap, none for
-    a generator that acts as I on the window); checked on an empty
-    spin-up, where the check is the only elimination."""
+    C the columns where g differs from I (at most one per tap), when a
+    tap writes into a row of C, and none otherwise: then g[C, C] = I.
+    Checked on an empty spin-up, where the check is the only
+    elimination."""
     from equifix.fixpoint import _SpinUp
 
     a = mk_action(*FAMILIES[name])
     w = default_window(a, 12, 8)
     gens = generator_matrices(a, 8, w)
     shapes = _recording_rref(monkeypatch)
+    eliminated = 0
     for _, m in gens:
-        ident = np.eye(w.dim, dtype=np.int64)
-        changed = int((m.a != ident).any(axis=0).sum())
+        moved = m.a != np.eye(w.dim, dtype=np.int64)
+        rows, cols = moved.any(axis=1), moved.any(axis=0)
+        changed = int(cols.sum())
         assert changed <= len(a.seed.entries)
+        assert (rows & cols).any() == (CHECK_ELIMINATES[name] and changed > 0)
         del shapes[:]
         _SpinUp(w).add_generator(m)
-        assert shapes == ([(changed, changed)] if changed else [])
+        expected = [(changed, changed)] if CHECK_ELIMINATES[name] and changed else []
+        assert shapes == expected
+        eliminated += len(shapes)
+    assert (eliminated > 0) == CHECK_ELIMINATES[name]
     assert w.dim > 2 * len(a.seed.entries)
+
+
+def test_pipeline_subspaces_keep_the_pivots_of_their_basis():
+    """Every subspace the pipeline builds, from the window's lattice image
+    to the spin-up's kernels and the lemma chain's quotient, carries the
+    pivots read off its basis."""
+    from equifix.oracle import brute_fixed, enumerate_subspaces
+
+    def argmax_pivots(s):
+        a = s.basis.a
+        return (a != 0).argmax(axis=1).tolist() if a.size else []
+
+    subs = []
+    for name, family in FAMILIES.items():
+        a = mk_action(*family)
+        w = default_window(a, 4, 3, n_max=2)
+        chain = m_ell_chain(a, 3, w)
+        subs += [window_b_image(w), window_b_image(w, 1), fixed_vectors(a, w, chain.m_hat)]
+        subs += [*chain.subspaces, chain.m_hat]
+        if name != "trivial":
+            lemma = lemma_chain_from_action(a, chain, 2)
+            subs += [lemma.space.ambient, lemma.space.modded, *lemma.nested]
+    gens = [FpMatrix(2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
+    subs += [brute_fixed(2, 3, gens), brute_max_invariant(2, 3, gens)]
+    subs += list(enumerate_subspaces(2, 3))
+    for s in subs:
+        assert s.pivots.dtype == np.int64 and not s.pivots.flags.writeable
+        assert s.pivots.tolist() == argmax_pivots(s)
+    assert any(s.pivots.size for s in subs) and any(not s.pivots.size for s in subs)
 
 
 def test_contains_makes_no_elimination(monkeypatch):

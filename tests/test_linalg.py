@@ -740,3 +740,117 @@ def test_public_constructor_copies_and_reduces():
         assert not m.a.flags.writeable and not np.shares_memory(m.a, data)
         data[0, 0] = 1
         assert m.a[0, 0] == 2 and data.flags.writeable
+
+
+# ------------------------------------------- F_2 on packed rows
+
+
+def int64_rref(m):
+    """Test-local copy of the Gauss–Jordan elimination on int64 arrays
+    that rref runs for odd p and ran for p = 2 before F_2 moved to
+    packed rows."""
+    p = m.p
+    a = np.array(m.a, dtype=np.int64)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, r, tuple(pivots)
+
+
+def f2_matrices(seed):
+    """Seeded 0/1 matrices: empty and 1x1, then at widths on either side
+    of a byte and of a 64-bit word, and far past both, matrices that are
+    tall, wide, sparse, rank-deficient (tall) and with repeated rows.  At
+    width 1024 only the rank-deficient one is tall: the int64 copy would
+    take seconds to eliminate a full-rank 1027 x 1024."""
+    rng = np.random.default_rng(seed)
+    mats = [np.zeros((0, 0)), np.zeros((0, 9)), np.zeros((5, 0)), np.zeros((1, 1)), np.ones((1, 1))]
+    for width in (7, 8, 9, 63, 64, 65, 200, 1024):
+        short = min(width // 2 + 1, 40)
+        tall = width + 3 if width <= 200 else short
+        low = rng.integers(0, 2, (width + 3, 4)) @ rng.integers(0, 2, (4, width))
+        wide = rng.integers(0, 2, (short, width))
+        mats += [
+            rng.integers(0, 2, (tall, width)),
+            wide,
+            (rng.random((tall, width)) < 0.05).astype(np.int64),
+            low % 2,
+            np.vstack([wide, wide[rng.permutation(short)], wide[:3]]),
+        ]
+    return [FpMatrix._wrap(2, a.astype(np.int64) % 2) for a in mats]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_f2_rref_matches_the_int64_elimination(seed):
+    shapes = set()
+    for m in f2_matrices(seed):
+        red = rref(m)
+        a, rank, pivots = int64_rref(m)
+        assert red.matrix.a.dtype == np.int64 and not red.matrix.a.flags.writeable
+        assert np.array_equal(red.matrix.a, a), m.shape
+        assert (red.rank, red.pivots) == (rank, pivots)
+        shapes.add(m.shape)
+    assert {(1027, 1024), (40, 1024), (83, 1024)} <= shapes
+
+
+def test_f2_inverse_at_the_cap():
+    # [m | I] is 512 x 1024: every packed row spans 128 bytes.
+    rng = np.random.default_rng(5)
+    n = 512
+    lower = np.tril(rng.integers(0, 2, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, 2, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    m = FpMatrix(2, lower @ upper)
+    assert m @ inverse(m) == FpMatrix.identity(2, n)
+    singular = np.array(m.a)
+    singular[:, -1] = (singular[:, 0] + singular[:, 1]) % 2
+    with pytest.raises(DimensionMismatch):
+        inverse(FpMatrix(2, singular))
+
+
+def argmax_pivots(s):
+    """The first nonzero column of each basis row, read off the array."""
+    a = s.basis.a
+    return (a != 0).argmax(axis=1).tolist() if a.size else []
+
+
+def assert_pivots_kept(s):
+    assert s.pivots.dtype == np.int64 and not s.pivots.flags.writeable
+    assert s.pivots.tolist() == argmax_pivots(s)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_subspaces_keep_the_pivots_of_their_basis(p):
+    subs = readoff_subspaces(p, 7, 41)
+    for s in subs:
+        assert_pivots_kept(s)
+        assert_pivots_kept(kernel(s.basis))
+        for o in subs[::3]:
+            assert_pivots_kept(s.sum(o))
+            assert_pivots_kept(s.intersect(o))
+            assert_pivots_kept(s.cut(o.basis.a))
+            if s.contains(o):
+                assert_pivots_kept(quotient(s, o).ambient)
+    m = FpMatrix(p, np.random.default_rng(p).integers(0, p, (7, 7)))
+    for s in subs[::4]:
+        assert_pivots_kept(map_image(m, s))
+        assert_pivots_kept(map_preimage(m, s))
+    assert_pivots_kept(Subspace.zero(p, 0))
+    assert_pivots_kept(Subspace.full(p, 0))
+    assert_pivots_kept(Subspace(p, 4, FpMatrix(p, [[0, 1, 0, 2], [0, 0, 1, 1]])))
+    with pytest.raises(ValueError):
+        subs[-1].pivots[...] = 0

@@ -67,6 +67,26 @@ def test_conjugate_shifts_both_slots():
     assert k1.entries[0].in_comp == 1 and k1.entries[0].out_comp == 2
 
 
+def test_conjugate_equals_the_constructor_on_the_shifted_entries():
+    rng = random.Random(18)
+    for _ in range(300):
+        p, d = rng.choice([2, 3, 5]), rng.randint(1, 3)
+        taps = [
+            (rng.randint(1, d), rng.randint(-4, 4), rng.randint(1, d), rng.randint(-4, 4),
+             rng.randrange(-p, 2 * p))
+            for _ in range(rng.randint(0, 8))
+        ]
+        n = pert(p, d, *taps)
+        k = rng.randint(-20, 20)
+        shifted = n.conjugate(k)
+        expected = SparsePerturbation(p, d, [e.shifted(k) for e in n.entries])
+        assert shifted == expected and shifted.entries == expected.entries
+        assert type(shifted) is SparsePerturbation and (shifted.p, shifted.d) == (p, d)
+        with pytest.raises(AttributeError):
+            shifted.entries = ()
+        assert n.conjugate(k).conjugate(-k) == n
+
+
 def test_conjugate_matches_shifted_application():
     # t^k N t^-k applied to v must equal shifting down, applying, shifting up.
     rng = random.Random(420)
