@@ -132,13 +132,25 @@ class PhiOperator:
             raise InsufficientPrecision(
                 f"operand precision {u.prec} below the operator's target {self.target_prec}"
             )
-        # Work at the operand's full precision and only cut at the end:
-        # a seed that writes below where it reads needs the extra
-        # coefficients of u to settle the low-order output.
+        # Walk the factors backward: a factor is applied mod t^need, the
+        # precision the later factors need, and needs its input one past
+        # each coefficient its taps read to write below t^need, since a
+        # seed may read above where it writes.
+        steps = [k for k, c in self.factors for _ in range(c)]
+        entries = self.action.seed.entries
+        needs = [self.target_prec]
+        for k in reversed(steps):
+            need = needs[-1]
+            needs.append(max([need] + [e.in_exp + k + 1 for e in entries if e.out_exp + k < need]))
+        needs.reverse()
+        if u.prec < needs[0]:
+            raise InsufficientPrecision(
+                f"operand known mod t^{u.prec}; the factors of phi mod t^{self.target_prec} "
+                f"read it mod t^{needs[0]}"
+            )
         v = u
-        for k, c in self.factors:
-            for _ in range(c):
-                v = self.action.seed_auto.apply(v, k)
+        for k, need in zip(steps, needs[1:]):
+            v = self.action.seed_auto.apply(v, k, out_prec=need)
         return v.truncate(self.target_prec)
 
 
@@ -248,14 +260,11 @@ def fixed_condition_rows(a: Action, w: LatticeWindow) -> list:
             row = groups.setdefault(key, {})
             col = w.index(e.in_comp, e.in_exp + k)
             row[col] = (row.get(col, 0) + e.coeff) % w.p
-    rows = []
-    for key in sorted(groups):
-        row = np.zeros(w.dim, dtype=np.int64)
+    rows = np.zeros((len(groups), w.dim), dtype=np.int64)
+    for i, key in enumerate(sorted(groups)):
         for col, c in groups[key].items():
-            row[col] = c
-        if row.any():
-            rows.append(row)
-    return rows
+            rows[i, col] = c
+    return list(rows[rows.any(axis=1)])
 
 
 def random_valid_action(rng, p: int, d: int, max_entries: int = 4,

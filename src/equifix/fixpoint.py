@@ -12,10 +12,11 @@ The pipeline realized here, all in exact window coordinates:
      depth maps onto itself.  The closed rows are kept in canonical
      RREF over reversed columns, which is exactly what the one
      elimination of linalg.kernel produces, so each member is read off
-     them with no elimination.  The closure never stacks more rows than
-     the window dimension.  The members form a descending chain whose
-     intersection m_hat is stable under multiplication by t once l_max
-     reaches the depth where the chain stabilizes.
+     them with no elimination, and the chain's checks are read-offs and
+     products on the members and those rows.  The closure never stacks
+     more rows than the window dimension.  The members form a descending
+     chain whose intersection m_hat is stable under multiplication by t
+     once l_max reaches the depth where the chain stabilizes.
   2. Intersect the window fixed space with m_hat, pick a deterministic
      nonzero witness (preferring one outside t*m_hat), and re-verify it
      from scratch by applying the action to the lifted series vector.
@@ -301,7 +302,12 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     stabilizes.  Raises ChainInvariantViolation if a member leaves the
     lattice image or misses the shell, the chain fails to nest, or the
     intersection is not the deepest member — for certified actions these
-    hold, so a failure signals a bug.
+    hold, so a failure signals a bug.  Every check is a read-off or a
+    product on the members and R, so the chain eliminates only inside
+    its spin-up: the two coordinate checks read the members' columns of
+    the exponents below 0 and at 0, nesting is Subspace.contains, and the
+    intersection is certified by _is_intersection against R after each
+    depth.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
@@ -315,11 +321,13 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     # action has no visible generators: top = -l_max leaves every depth's
     # range below empty.
     top = -l_max if a.seed.is_zero else a.modulus.threshold(w.hi)
-    b_img = window_b_image(w)
-    t_b_img = window_b_image(w, floor=1)
-    # The constraint rows of the lattice image: the unit rows of the
-    # exponents below 0.
-    spin = _SpinUp(w, [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)])
+    # The lattice image and t times it are the coordinate subspaces of the
+    # exponents >= 0 and >= 1, so membership is a read-off of the columns
+    # of the exponents below 0 and at 0.
+    below = [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)]
+    shell = [w.index(c, 0) for c in range(1, w.d + 1)]
+    # The constraint rows of the lattice image: the unit rows of `below`.
+    spin = _SpinUp(w, below)
     subs: list[Subspace] = []
     cuts: list[np.ndarray] = []  # R after each depth, in window coordinates
     for ell in range(l_max + 1):
@@ -330,9 +338,9 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         for k in range(0, top) if ell == 0 else range(-ell, min(top, 1 - ell)):
             spin.add_taps(window_taps(a.seed.conjugate(k), w))
         sub = spin.kernel()
-        if not b_img.contains(sub):
+        if sub.basis.a[:, below].any():
             raise ChainInvariantViolation("member escapes the lattice image")
-        if t_b_img.contains(sub):
+        if not sub.basis.a[:, shell].any():
             raise ChainInvariantViolation(
                 f"member at depth {ell} misses the shell: every element is divisible by t"
             )
@@ -340,10 +348,8 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
             raise ChainInvariantViolation(f"chain fails to nest at depth {ell}")
         subs.append(sub)
         cuts.append(spin.rows[:, ::-1])
-    m_hat = subs[0]
-    for rows in cuts[1:]:  # M̂_ell = ker R_ell, so each depth cuts by R_ell
-        m_hat = m_hat.cut(rows)
-    if m_hat != subs[-1]:  # intersection of a nested chain is its last member
+    m_hat = subs[-1]
+    if not _is_intersection(m_hat, cuts):
         raise ChainInvariantViolation("intersection disagrees with the deepest member")
     if not _t_stable(m_hat, w):
         raise LMaxTooSmall(
@@ -353,6 +359,19 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     while l_stable > 0 and subs[l_stable - 1] == subs[l_max]:
         l_stable -= 1
     return InvariantChain(a, w, tuple(subs), m_hat, l_stable)
+
+
+def _is_intersection(k: Subspace, cuts: list[np.ndarray]) -> bool:
+    """Whether k is the intersection of the kernels of the row blocks in
+    cuts, each spanned by the last, whose rows are independent (R after
+    each depth of a spin-up): with products and a dimension, no
+    elimination.  R*k^T = 0 for every block puts k inside each kernel,
+    hence inside their intersection, ker cuts[-1]; k has that kernel's
+    dimension exactly when it is all of it."""
+    a = k.basis.a
+    return k.dim == k.ambient_dim - cuts[-1].shape[0] and not any(
+        (rows @ a.T % k.p).any() for rows in cuts
+    )
 
 
 def _t_stable(m_hat: Subspace, w: LatticeWindow) -> bool:
@@ -385,11 +404,14 @@ def _coord_valuation(row: np.ndarray, w: LatticeWindow) -> int:
     return min(exps)
 
 
-def _retry_suggestion(w: LatticeWindow, tail: str = "") -> str | None:
-    """Suggest the widened window, or nothing when it is beyond the
-    dimension cap (the CLI then suggests a join with the policy window)."""
+def _retry_suggestion(w: LatticeWindow, tail: str = "", top: int = 0) -> str | None:
+    """Suggest the widened window, widened again until its top is at least
+    `top`, or nothing when that is beyond the dimension cap (the CLI then
+    suggests a join with the policy window)."""
     try:
         wider = widen_window(w)
+        while wider.hi < top:
+            wider = widen_window(wider)
     except LimitExceeded:
         return None
     return f"retry with window [{wider.lo},{wider.hi}){tail}"
@@ -442,7 +464,7 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
     if n < 1 or n > w.hi:
         raise WindowTooNarrow(
             f"precision {n} not representable on window [{w.lo},{w.hi})",
-            suggestion=_retry_suggestion(w),
+            suggestion=_retry_suggestion(w, top=n),
         )
     meet = fixed_vectors(a, w, chain.m_hat)
     if meet.dim == 0:
@@ -451,10 +473,13 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
             suggestion=_retry_suggestion(w, " or larger l_max"),
         )
     t_m_hat = Subspace.from_rows(w.p, w.dim, _shift(chain.m_hat.basis.a, w, w, 1))
-    rows = list(meet.basis.a)
-    outside = [r for r in rows if not t_m_hat.contains_vector(r)]
-    pool = outside if outside else rows
-    pick = min(pool, key=lambda r: (_coord_valuation(r, w), tuple(int(x) for x in r)))
+    rows = meet.basis.a
+    # Row i lies in t*m_hat iff it equals its combination of t*m_hat's
+    # canonical basis read off at the pivots (Subspace.spans, per row).
+    outside = ((rows - rows[:, t_m_hat.pivots] @ t_m_hat.basis.a) % w.p).any(axis=1)
+    pool = np.flatnonzero(outside) if outside.any() else range(len(rows))
+    i = min(pool, key=lambda i: (_coord_valuation(rows[i], w), tuple(rows[i].tolist())))
+    pick = rows[i]
     lifted = coords_to_vector(pick, w)
     witness = lifted.truncate(n)
     if witness.is_zero:
@@ -474,7 +499,7 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
         precision=n,
         checked_generators=tuple(checks),
         in_m_hat=chain.m_hat.contains_vector(pick),
-        outside_t_m_hat=not t_m_hat.contains_vector(pick),
+        outside_t_m_hat=bool(outside[i]),
         window=w,
     )
 
@@ -567,13 +592,17 @@ def widen_window(w: LatticeWindow) -> LatticeWindow:
 
 def _certificate_reads_fit(a: Action, precision: int, w: LatticeWindow) -> bool:
     """Whether extract_witness's certificate at this precision can read
-    every tap it needs on w.
+    every tap it needs on w, judged conservatively.
 
     The certificate applies each g_k, k in [-max_in_exp,
-    threshold(precision)), to a witness known mod t^hi, at that full
-    precision.  A tap of N_k that writes below t^hi reads its input
-    coefficient, which must lie below t^hi (SparsePerturbation.apply).
-    Tap e fails for the k with hi - e.in_exp <= k < hi - e.out_exp.
+    threshold(precision)), to a witness known mod t^hi.  This test reads
+    each g_k as applied at that full precision: a tap of N_k that writes
+    below t^hi reads its input coefficient, which must lie below t^hi, so
+    tap e fails for the k with hi - e.in_exp <= k < hi - e.out_exp.
+    PhiOperator.apply needs only the writes below t^precision, so the
+    certificate may read its taps on a window this test rejects, and is
+    then run on the doubled window all the same.  A window sized to the
+    exact need changes outputs and waits for a re-record of the goldens.
     """
     if a.seed.is_zero:
         return True

@@ -165,6 +165,23 @@ def test_apply_phi_respects_requested_precision():
         apply_phi(a, x, u, out_prec=7)
 
 
+def test_apply_phi_reads_only_what_each_factor_needs():
+    """Seed [1@0 -> 2@0], [1@5 -> 3@2]: mod t^4, g_3's second tap writes
+    t^5 and vanishes, so it needs u only mod t^4, though at u's own
+    precision it would read t^8; g_0 before it writes t^2 from t^5, so
+    phi(1 + t^3) needs u mod t^6."""
+    a = mk_action(2, 3, [(1, 0, 2, 0, 1), (1, 5, 3, 2, 1)])
+    ones = SeriesVector([LaurentSeries.from_terms(2, dict.fromkeys(range(10), 1), 10)] * 3)
+    for terms, need in (({3: 1}, 4), ({0: 1, 3: 1}, 6)):
+        x = LaurentSeries.from_terms(2, terms, 4)
+        expected = apply_phi(a, x, ones, out_prec=4)
+        for prec in range(need, 10):
+            assert apply_phi(a, x, ones.truncate(prec), out_prec=4) == expected
+        if need > 4:
+            with pytest.raises(InsufficientPrecision, match=f"read it mod t\\^{need}"):
+                apply_phi(a, x, ones.truncate(need - 1), out_prec=4)
+
+
 # ---------------------------------------------------------------- equivariance
 
 
@@ -270,6 +287,39 @@ def test_fixed_conditions_pin_first_component():
             2, w.dim, [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
         )
         assert f == expect
+
+
+def _fixed_condition_rows_by_group(a, w):
+    """Reference: one row per (k, output slot) group, built one at a time,
+    in sorted key order, zero rows dropped."""
+    import numpy as np
+
+    groups = {}
+    for e in a.seed.entries:
+        for k in range(w.lo - e.in_exp, min(w.hi - e.in_exp, w.hi - e.out_exp)):
+            row = groups.setdefault((k, e.out_comp, e.out_exp + k), {})
+            col = w.index(e.in_comp, e.in_exp + k)
+            row[col] = (row.get(col, 0) + e.coeff) % w.p
+    rows = []
+    for key in sorted(groups):
+        row = np.zeros(w.dim, dtype=np.int64)
+        for col, c in groups[key].items():
+            row[col] = c
+        if row.any():
+            rows.append(row)
+    return rows
+
+
+def test_fixed_condition_rows_match_the_per_group_loop():
+    rng = random.Random(441)
+    for trial in range(30):
+        p = (2, 3, 5)[trial % 3]
+        a = random_valid_action(rng, p, rng.randint(2, 3), exp_lo=-2, exp_hi=2)
+        w = LatticeWindow(-rng.randint(0, 3), rng.randint(1, 4), d=a.d, p=p)
+        got, expected = fixed_condition_rows(a, w), _fixed_condition_rows_by_group(a, w)
+        assert len(got) == len(expected)
+        assert all((g == e).all() for g, e in zip(got, expected))
+    assert fixed_condition_rows(mk_action(*TRIVIAL), LatticeWindow(-1, 2, d=1, p=2)) == []
 
 
 # ---------------------------------------------------------------- sampling

@@ -319,18 +319,21 @@ def test_find_fixed_narrow_window_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name,command,window",
-    [("dropping-tap", "find-fixed", "0:3"), ("tap", "lemma-check", "-1:3")],
+    "name,command,window,extra",
+    [("dropping-tap", "find-fixed", "0:3", ()), ("tap", "lemma-check", "-1:3", ()),
+     # precision 9 needs a top of 9: one doubling of [-2,4) reaches only 8
+     ("tap", "find-fixed", "-2:4", ("--precision", "9"))],
+    ids=["dropping-tap-find-fixed-0:3", "tap-lemma-check--1:3", "tap-find-fixed--2:4-precision-9"],
 )
-def test_soft_failure_suggests_a_window_that_runs(tmp_path, capsys, name, command, window):
+def test_soft_failure_suggests_a_window_that_runs(tmp_path, capsys, name, command, window, extra):
     cfg = family_config(tmp_path, capsys, name)
     rpt = tmp_path / "narrow.json"
-    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={window}",
+    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={window}", *extra,
                        "--json", str(rpt))
     assert code == 2, err
     suggestion = load_report(rpt)["result"]["suggestion"]
     lo, hi = suggestion.removeprefix("retry with window [").removesuffix(")").split(",")
-    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={lo}:{hi}")
+    code, _, err = run(capsys, command, "--config", str(cfg), f"--window={lo}:{hi}", *extra)
     assert code == 0, (suggestion, err)
 
 
@@ -414,6 +417,23 @@ def test_find_fixed_widens_the_policy_window_its_certificate_cannot_read(tmp_pat
     assert chain["dims"] == [30, 29, 28, 27, 27, 27]
     assert reports[0]["result"]["certificate"]["ok"] is True
     assert reports[0]["result"] == reports[1]["result"]
+
+
+def test_find_fixed_certifies_where_a_factor_writes_above_the_precision(tmp_path, capsys):
+    """The tap [1@5 -> 3@2] of g_k writes t^(2+k) from t^(5+k).  Mod t^2
+    the certificate's g_1 may skip it: its write t^3 vanishes, so its read
+    t^6 above the window [-6,6) is never needed, and find-fixed certifies
+    there as on [-6,7)."""
+    cfg = tmp_path / "high-read.yaml"
+    cfg.write_text("p: 2\nd: 3\nseed:\n"
+                   "  - {in: [1, 0], out: [2, 0]}\n"
+                   "  - {in: [1, 5], out: [3, 2]}\n")
+    for window in ("-6:6", "-6:7"):
+        rpt = tmp_path / f"high-read{window}.json"
+        code, _, err = run(capsys, "find-fixed", "--config", str(cfg), "--precision", "2",
+                           "--l-max", "6", f"--window={window}", "--json", str(rpt))
+        assert code == 0, err
+        assert load_report(rpt)["result"]["certificate"]["ok"] is True
 
 
 # ---------------------------------------------------------------- chain/lemma

@@ -618,16 +618,18 @@ def test_chain_eliminations_stay_within_budget(monkeypatch):
 
 
 def test_chain_eliminations_stay_within_the_read_off_budget(monkeypatch):
-    """Members, the lattice image's constraint rows and the t-stability
-    check are read off, so what is eliminated is each generator's changed
-    columns (30 generators here), each block merged into R (none here)
-    and one cut per depth of the intersection fold (12): 42 rref calls,
-    70 when members were eliminated."""
+    """Members, the lattice image's constraint rows, the member checks and
+    the t-stability check are read off or multiplied, and no generator
+    here writes into a column it reads, so no g[C, C] is eliminated.  The
+    one elimination is the one row that enters R: g_0 maps the constraint
+    row of t^-1 in component 2 onto the unit row of t^0 in component 1.
+    It was 13 rref calls with a fold of cuts for the intersection, 42
+    with each g[C, C] eliminated and 70 with members eliminated."""
     shapes = _recording_rref(monkeypatch)
     a = mk_action(*DROP)
     chain = m_ell_chain(a, 12, default_window(a, 16, 12))
     assert chain.window.dim == 60
-    assert len(shapes) <= 45
+    assert shapes == [(1, 60)]
 
 
 def test_lemma_chain_and_probe_stay_within_the_read_off_budget(monkeypatch):
@@ -951,19 +953,130 @@ def test_t_stability_read_off_matches_the_image_containment():
     assert answers == {True, False}
 
 
-@pytest.mark.parametrize("tamper", ["unchanged", "zero"])
-def test_intersection_fold_tampered_still_disagrees_with_the_deepest_member(monkeypatch, tamper):
+@pytest.mark.parametrize("family, precision, l_max",
+                         [(name, 8, 6) for name in sorted(FAMILIES)] + [("dropping-tap", 16, 12)])
+def test_chain_eliminates_only_inside_its_spin_up(monkeypatch, family, precision, l_max):
+    a = mk_action(*FAMILIES[family])
+    w = default_window(a, precision, l_max)
+    shapes = _recording_rref(monkeypatch)
+    for _ in _spin_up_by_depth(a, l_max, w):
+        pass
+    spin_up = list(shapes)
+    shapes.clear()
+    m_ell_chain(a, l_max, w)
+    assert shapes == spin_up
+
+
+def test_member_checks_read_off_match_the_subspace_checks():
+    """The lattice image and t times it are coordinate subspaces: a member
+    lies in the first iff it vanishes on the exponents below 0, and then
+    in the second iff it also vanishes at exponent 0.  The intersection
+    certificate accepts exactly when the fold of cuts it replaced, ker R_0
+    cut by each later R_ell, equals the member."""
+    from equifix.fixpoint import _is_intersection
+    from equifix.linalg import kernel
+
+    rng = random.Random(19)
+    answers = {"image": set(), "shell": set(), "certificate": set()}
+    cut_further = 0
+    for trial in range(90):
+        p = [2, 3, 5][trial % 3]
+        w = LatticeWindow(-rng.randint(0, 3), rng.randint(1, 4), d=rng.randint(1, 3), p=p)
+        below = [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)]
+        shell = [w.index(c, 0) for c in range(1, w.d + 1)]
+        rows = np.array([[rng.randrange(p) for _ in range(w.dim)]
+                         for _ in range(rng.randint(0, w.dim))], dtype=np.int64).reshape(-1, w.dim)
+        if trial % 2:  # inside the lattice image, so the shell check is reached
+            rows[:, below] = 0
+        if trial % 4 == 1:  # off the shell too
+            rows[:, shell] = 0
+        sub = Subspace.from_rows(p, w.dim, rows)
+        in_image = not sub.basis.a[:, below].any()
+        assert in_image == window_b_image(w).contains(sub)
+        answers["image"].add(in_image)
+        if in_image:
+            off_shell = not sub.basis.a[:, shell].any()
+            assert off_shell == window_b_image(w, floor=1).contains(sub)
+            answers["shell"].add(off_shell)
+        # Nested row spaces R_0 ⊆ .. ⊆ R_L, as the spin-up grows them.
+        gens = [[rng.randrange(p) for _ in range(w.dim)] for _ in range(rng.randint(1, w.dim))]
+        cuts = [Subspace.from_rows(p, w.dim, gens[:k]).basis.a
+                for k in sorted(rng.randint(1, len(gens)) for _ in range(rng.randint(1, 3)))]
+        fold = kernel(FpMatrix(p, cuts[0]))
+        for r in cuts[1:]:
+            fold = fold.cut(r)
+        deepest = kernel(FpMatrix(p, cuts[-1]))
+        for member in (deepest, sub, kernel(FpMatrix(p, cuts[0])),
+                       deepest.cut(rows[:1]), Subspace.from_rows(p, w.dim, np.vstack(
+                           [deepest.basis.a, rows[:1]]))):
+            accepted = _is_intersection(member, cuts)
+            assert accepted == (fold == member), trial
+            answers["certificate"].add(accepted)
+        # Row blocks that do not nest: the certificate is still sound, and
+        # rejects ker R_L where the other blocks cut it further.
+        loose = [Subspace.from_rows(p, w.dim, rng.sample(gens, rng.randint(1, len(gens)))).basis.a
+                 for _ in range(2)]
+        fold = kernel(FpMatrix(p, loose[0])).cut(loose[1])
+        deepest = kernel(FpMatrix(p, loose[1]))
+        for member in (deepest, fold):
+            assert not _is_intersection(member, loose) or fold == member, trial
+        cut_further += fold != deepest
+    assert all(seen == {True, False} for seen in answers.values()), answers
+    assert cut_further >= 10
+
+
+@pytest.mark.parametrize("floor, message", [
+    (None, "member escapes the lattice image"),
+    (1, "member at depth 0 misses the shell: every element is divisible by t"),
+], ids=["image", "shell"])
+def test_member_tampered_off_the_lattice_image_or_the_shell_is_caught(monkeypatch, floor, message):
+    """The column read-offs catch a depth-0 member that is all of the
+    window (nonzero below exponent 0) or t times the lattice image (zero
+    at exponent 0)."""
+    from equifix.fixpoint import _SpinUp
+
     a = mk_action(*LMAX_INPUT)
     w = default_window(a, 4, 2)
-    assert len(set(m_ell_chain(a, 2, w).dims())) == 3
-    if tamper == "unchanged":
-        monkeypatch.setattr(Subspace, "cut", lambda self, rows: self)
+    member = Subspace.full(w.p, w.dim) if floor is None else window_b_image(w, floor=floor)
+    monkeypatch.setattr(_SpinUp, "kernel", lambda self: member)
+    with pytest.raises(ChainInvariantViolation, match=f"^{message}$"):
+        m_ell_chain(a, 2, w)
+
+
+@pytest.mark.parametrize("tamper", ["larger", "smaller"])
+def test_deepest_member_tampered_disagrees_with_the_intersection(monkeypatch, tamper):
+    """The deepest kernel the spin-up returns is replaced by one larger
+    than ker R_L (the lattice image, with the nesting check neutralised)
+    or smaller (m_hat less a basis row off the shell): the certificate
+    R_ell*K^T = 0, dim K = dim ker R_L rejects both."""
+    from equifix.fixpoint import _SpinUp
+
+    a = mk_action(*LMAX_INPUT)
+    w = default_window(a, 4, 2)
+    chain = m_ell_chain(a, 2, w)
+    assert len(set(chain.dims())) == 3
+    m_hat = chain.m_hat
+    if tamper == "larger":
+        member = window_b_image(w)
+        monkeypatch.setattr(Subspace, "contains", lambda self, other: True)
     else:
-        monkeypatch.setattr(Subspace, "cut",
-                            lambda self, rows: Subspace.zero(self.p, self.ambient_dim))
+        shell = [w.index(c, 0) for c in range(1, w.d + 1)]
+        off = [i for i, row in enumerate(m_hat.basis.a) if not row[shell].any()]
+        keep = np.delete(np.arange(m_hat.dim), off[0])
+        member = Subspace(w.p, w.dim, FpMatrix(w.p, m_hat.basis.a[keep]), m_hat.pivots[keep])
+        assert m_hat.contains(member) and member.basis.a[:, shell].any()
+    real = _SpinUp.kernel
+    calls = []
+
+    def tampered_kernel(self):
+        calls.append(self)
+        return member if len(calls) == 3 else real(self)
+
+    monkeypatch.setattr(_SpinUp, "kernel", tampered_kernel)
     with pytest.raises(ChainInvariantViolation,
                        match="intersection disagrees with the deepest member"):
         m_ell_chain(a, 2, w)
+    assert len(calls) == 3
 
 
 def test_chain_below_its_stabilizing_depth_is_l_max_too_small():
@@ -1033,21 +1146,39 @@ def _report(outcome):
     return outcome[0].to_dict(), outcome[1].to_dict()
 
 
+def _certificate_reads(a, precision, w):
+    """Whether every g_k of the certificate reads inside the window: the
+    tap e of g_k, applied mod t^precision (PhiOperator.apply), reads
+    t^(e.in_exp + k) when it writes t^(e.out_exp + k) below t^precision."""
+    if a.seed.is_zero:
+        return True
+    top = a.modulus.threshold(precision)
+    return not any(
+        max(-a.max_in_exp, w.hi - e.in_exp) < min(top, precision - e.out_exp)
+        for e in a.seed.entries
+    )
+
+
 def test_window_choice_matches_the_two_attempt_route():
     """Over seeded random actions:
 
-    (a) the window test fails exactly when extract_witness raises
-        InsufficientPrecision on that window's chain (policy window, and
-        the doubled one where the two-attempt route reaches it);
+    (a) extract_witness raises InsufficientPrecision on a window's chain
+        exactly when some tap its certificate applies reads above the
+        window (policy window, and the doubled one where the two-attempt
+        route reaches it), and never where the window test passes: the
+        test reads each g_k at the window's top, not at the precision, so
+        it is conservative;
     (b) find_fixed_point gives what the two-attempt route gave (run the
         policy window, and on WindowTooNarrow or InsufficientPrecision
-        run it doubled), except where its first attempt raised before
-        the certificate and the window test widened;
+        run it doubled), except where the window test widened a window
+        whose first attempt raised before the certificate or whose
+        certificate reads its taps there;
     (c) the result is the one its own window gives when passed."""
     from equifix.fixpoint import _certificate_reads_fit
 
     rng = random.Random(2024)
     seen = {"fits": 0, "cannot read": 0, "retried": 0, "early": 0, "widened early": 0}
+    conservative = {"reads but fails the test": 0, "widened though it reads": 0}
 
     def attempt(a, precision, l_max, w):
         chain = _outcome(m_ell_chain, a, l_max, w)
@@ -1055,9 +1186,14 @@ def test_window_choice_matches_the_two_attempt_route():
             return chain
         cert = _outcome(extract_witness, a, chain, precision)
         if not isinstance(cert, EmptyFixedSpace):  # (a): the certificate ran
+            reads = _certificate_reads(a, precision, w)
+            assert reads == (not isinstance(cert, InsufficientPrecision))
             fits = _certificate_reads_fit(a, precision, w)
-            assert fits == (not isinstance(cert, InsufficientPrecision))
-            seen["fits" if fits else "cannot read"] += 1
+            assert reads or not fits
+            if reads and not fits:
+                conservative["reads but fails the test"] += 1
+            else:
+                seen["fits" if fits else "cannot read"] += 1
         return cert if isinstance(cert, EquifixError) else (chain, cert)
 
     for trial in range(1000):
@@ -1074,12 +1210,16 @@ def test_window_choice_matches_the_two_attempt_route():
             if not _certificate_reads_fit(a, precision, w):
                 seen["widened early"] += 1
                 continue
+        elif not _certificate_reads_fit(a, precision, w):
+            conservative["widened though it reads"] += 1
+            continue
         got = _outcome(find_fixed_point, a, precision, l_max)
         assert _report(got) == _report(expected), trial  # (b)
         if not isinstance(got, EquifixError):  # (c)
             again = find_fixed_point(a, precision, l_max, window=got[0].window)
             assert _report(again) == _report(got), trial
     assert min(seen.values()) >= 50, seen
+    assert min(conservative.values()) >= 20, conservative
 
 
 def test_chain_builds_no_dense_matrix(monkeypatch):
