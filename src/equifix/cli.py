@@ -11,12 +11,15 @@ Subcommands
 Configs are YAML with keys p, d, seed (a list of
 {in: [comp, exp], out: [comp, exp], coeff: c} taps), and optional
 label, precision, l_max, n_max, window ("lo:hi" or [lo, hi]) and
-rng_seed.  Any other key, an integer field holding anything but a YAML
-integer, a seed that is not a list and a label that is not a string are
-parse errors; a null seed or label means the empty default.  Flags
-override config values.  Exit codes: 0 success, 1 validation failure,
-2 soft failure (window, precision or l_max too small), 3 I/O or usage
-error.
+rng_seed.  A tap's in and out are integer pairs [component, exponent];
+its coeff is an integer, 1 when the key is missing.  Any other key, a
+missing p or d, an integer field holding anything but a YAML integer, a
+seed that is not a list of such taps and a label that is not a string
+are parse errors whose message names the key; a null seed or label
+means the empty default.  The report of a rejected config shows only
+values that passed their check.  Flags override config values.  Exit
+codes: 0 success, 1 validation failure, 2 soft failure (window,
+precision or l_max too small), 3 I/O or usage error.
 """
 
 from __future__ import annotations
@@ -226,56 +229,57 @@ def _optional(data: dict, key: str, default):
     return default if value is None else value
 
 
-def _check_config(data: dict) -> None:
-    """Reject unknown keys, integer fields holding anything but a YAML
-    integer, a seed that is not a list and a label that is not a string;
-    each ValueError names the offending key."""
+def _read_tap(i: int, item) -> TapEntry:
+    """seed[i] as a TapEntry: `in` and `out` integer pairs [component,
+    exponent] with the exponent within the cap, `coeff` an integer (1
+    when missing); each key is checked once, in the tap's own order."""
+    if not isinstance(item, dict):
+        raise ValueError(f"seed[{i}] must be a mapping with keys in, out, coeff")
+    for key, value in item.items():
+        if key not in _TAP_SCHEMA["properties"]:
+            raise ValueError(f"unknown key {key!r} in seed[{i}]")
+        parts = value if isinstance(value, list) else [value]
+        if not all(_is_int(x) for x in parts):
+            raise ValueError(f"seed[{i}] key {key!r} must hold integers, got {value!r}")
+        if key == "coeff":
+            if isinstance(value, list):
+                raise ValueError(f"seed[{i}] key 'coeff' must be an integer, got {value!r}")
+        elif not isinstance(value, list) or len(value) != 2:
+            raise ValueError(f"seed[{i}] key {key!r} must be a pair [component, exponent], "
+                             f"got {value!r}")
+        elif abs(value[1]) > MAX_EXPONENT:
+            raise LimitExceeded(f"seed[{i}] key {key!r} exponent {value[1]} beyond "
+                                f"±{MAX_EXPONENT}")
+    for key in ("in", "out"):
+        if key not in item:
+            raise ValueError(f"seed[{i}] is missing key {key!r}")
+    return TapEntry(*item["in"], *item["out"], item.get("coeff", 1))
+
+
+def _read_config(data: dict) -> ActionSpec:
+    """The action spec of a config, built from checked values; each key
+    is checked once, in the order below, and a ValueError names it."""
     for key in data:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
     for key in _INT_KEYS:
-        if data.get(key) is not None and not _is_int(data[key]):
-            raise ValueError(f"config key {key!r} must be an integer, got {data[key]!r}")
+        value = data.get(key)
+        if value is None and key in ("p", "d"):
+            raise ValueError(f"config key {key!r} is required")
+        if value is not None and not _is_int(value):
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
     seed = _optional(data, "seed", [])
     if not isinstance(seed, list):
         raise ValueError(f"config key 'seed' must be a list of taps, got {seed!r}")
-    for i, item in enumerate(seed):
-        if not isinstance(item, dict):
-            raise ValueError(f"seed[{i}] must be a mapping with keys in, out, coeff")
-        for key, value in item.items():
-            if key not in _TAP_SCHEMA["properties"]:
-                raise ValueError(f"unknown key {key!r} in seed[{i}]")
-            parts = value if isinstance(value, list) else [value]
-            if not all(_is_int(x) for x in parts):
-                raise ValueError(f"seed[{i}] key {key!r} must hold integers, got {value!r}")
-            if key != "coeff" and len(parts) == 2 and abs(parts[1]) > MAX_EXPONENT:
-                raise LimitExceeded(f"seed[{i}] key {key!r} exponent {parts[1]} beyond "
-                                    f"±{MAX_EXPONENT}")
+    entries = [_read_tap(i, item) for i, item in enumerate(seed)]
     label = _optional(data, "label", "")
     if not isinstance(label, str):
         raise ValueError(f"config key 'label' must be a string, got {label!r}")
     window = data.get("window")
     if isinstance(window, list) and not all(_is_int(x) for x in window):
         raise ValueError(f"config key 'window' must hold integers, got {window!r}")
-
-
-def _spec_from_data(data: dict) -> ActionSpec:
-    """Build the action spec; structural mistakes surface as ValueError."""
-    try:
-        p = int(data["p"])
-        d = int(data["d"])
-        entries = []
-        for item in _optional(data, "seed", []):
-            in_c, in_e = item["in"]
-            out_c, out_e = item["out"]
-            entries.append(
-                TapEntry(int(in_c), int(in_e), int(out_c), int(out_e), int(item.get("coeff", 1)))
-            )
-        label = _optional(data, "label", "")
-        seed = SparsePerturbation(p, d, entries)
-        return ActionSpec(p=p, d=d, seed=seed, label=label)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed action spec: {exc!r}")
+    p, d = data["p"], data["d"]
+    return ActionSpec(p=p, d=d, seed=SparsePerturbation(p, d, entries), label=label)
 
 
 def _action_dict(spec: ActionSpec) -> dict:
@@ -295,24 +299,15 @@ def _action_dict(spec: ActionSpec) -> dict:
 
 
 def _fallback_action_dict(data: dict) -> dict:
-    def _int(key):
-        try:
-            return int(data.get(key, 0))
-        except (TypeError, ValueError):
-            return 0
-
-    label = _optional(data, "label", "")
-    return {"p": _int("p"), "d": _int("d"), "label": label if isinstance(label, str) else "",
-            "seed": []}
+    """The action of a rejected config: only values that pass their check."""
+    p, d, label = data.get("p"), data.get("d"), data.get("label")
+    return {"p": p if _is_int(p) else 0, "d": d if _is_int(d) else 0,
+            "label": label if isinstance(label, str) else "", "seed": []}
 
 
 def _resolve_params(args, data: dict) -> dict:
     def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in data and data[key] is not None:
-            return int(data[key])
-        return default
+        return _optional(data, key, default) if flag_value is None else flag_value
 
     params = {
         "precision": pick(args.precision, "precision", DEFAULT_PRECISION),
@@ -632,8 +627,7 @@ def _run(args, command: str) -> int:
     compute, policy_window = COMMANDS[command]
     data = _load_config(args.config)
     try:
-        _check_config(data)
-        spec = _spec_from_data(data)
+        spec = _read_config(data)
         params = _resolve_params(args, data)
     except ValueError as exc:
         return _fail(args, command, _fallback_action_dict(data), {"window": None}, exc)
@@ -696,7 +690,7 @@ def cmd_gen_example(args) -> int:
         args,
         "gen-example",
         "ok",
-        _action_dict(_spec_from_data(yaml.safe_load(text))),
+        _action_dict(_read_config(yaml.safe_load(text))),
         {"name": args.name, "window": None},
         {"config": text},
         human=human,

@@ -59,7 +59,6 @@ from .linalg import (
     FpMatrix,
     QuotientSpace,
     Subspace,
-    kernel,
     kernel_from_reversed_rref,
     quotient,
     rref,
@@ -386,16 +385,13 @@ def fixed_vectors(a: Action, w: LatticeWindow, m_hat: Subspace | None = None) ->
     F is cut out by exact linear conditions: for every generator and
     every tap write that lands below t^hi — including below the window
     floor — the written coefficient (a sum of in-window reads) must
-    vanish.  F ∩ m_hat is m_hat cut by those conditions (Subspace.cut),
-    solved in m_hat's coordinates without F.
+    vanish.  F is the full window space cut by those conditions
+    (Subspace.cut), and F ∩ m_hat is m_hat cut by them, solved in m_hat's
+    coordinates without F.
     """
     rows = fixed_condition_rows(a, w)
     rows = np.array(rows, dtype=np.int64).reshape(len(rows), w.dim)
-    if m_hat is not None:
-        return m_hat.cut(rows)
-    if rows.shape[0]:
-        return kernel(FpMatrix._wrap(w.p, rows))
-    return Subspace.full(w.p, w.dim)
+    return (Subspace.full(w.p, w.dim) if m_hat is None else m_hat).cut(rows)
 
 
 def _coord_valuation(row: np.ndarray, w: LatticeWindow) -> int:

@@ -178,14 +178,25 @@ STRICT_CONFIG_CASES = [
     ("p: 2\nd: 2\nseed: []\nlabel: 5\n", "label"),
     ("p: 2\nd: 2\nseed: []\nlabel: [a, b]\n", "label"),
     ("p: 2\nd: 2\nseed: []\nlabel: true\n", "label"),
+    ("d: 2\nseed: []\n", "p"),  # p missing
+    ("p: 2\nd: 2\nseed:\n  - {in: [1], out: [2, 0], coeff: 1}\n", "in"),  # short pair
+    ("p: null\nd: 2\nseed: []\n", "p"),
+    ("p: 2\nd: null\nseed: []\n", "d"),
+    ("p: 2\nd: 2\nseed:\n  - {in: [], out: [2, 0], coeff: 1}\n", "in"),
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, 0, 3], out: [2, 0], coeff: 1}\n", "in"),
+    ("p: 2\nd: 2\nseed:\n  - {in: 5, out: [2, 0], coeff: 1}\n", "in"),
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], out: 3, coeff: 1}\n", "out"),
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: [1, 1]}\n", "coeff"),
+    ("p: 2\nd: 2\nseed:\n  - {out: [2, 0], coeff: 1}\n", "in"),
+    ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], coeff: 1}\n", "out"),
 ]
+# Python exception texts a parse-error message must never show.
+EXCEPTION_TEXTS = ("unpack", "KeyError(", "TypeError(", "int() argument")
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "d: 2\nseed: []\n",  # p missing
-        "p: 2\nd: 2\nseed:\n  - {in: [1], out: [2, 0], coeff: 1}\n",  # short pair
         "p: 4\nd: 2\nseed: []\n",  # modulus not prime
         "p: 2\nd: 2\nseed: []\nwindow: [3, 1]\n",  # inverted window
         *(text for text, _ in STRICT_CONFIG_CASES),
@@ -211,8 +222,29 @@ def test_strict_config_message_names_the_key(tmp_path, capsys, text, key):
     code, _, _ = run(capsys, "find-fixed", "--config", str(cfg), "--json", str(rpt))
     assert code == 1
     report = load_report(rpt)
-    assert f"'{key}'" in report["result"]["message"]
+    message = report["result"]["message"]
+    assert f"'{key}'" in message
+    assert not any(t in message for t in EXCEPTION_TEXTS), message
     assert report["action"]["label"] == ""  # none of these configs has a string label
+
+
+@pytest.mark.parametrize(
+    "text,p,d",
+    [
+        ("p: 2.0\nd: 2\nseed: []\n", 0, 2),
+        ("p: 7.9\nd: 2\nseed: []\n", 0, 2),
+        ("p: '3'\nd: 2\nseed: []\n", 0, 2),
+        ("p: 2\nd: true\nseed: []\n", 2, 0),  # the valid p is reported as given
+    ],
+)
+def test_rejected_config_reports_only_checked_values(tmp_path, capsys, text, p, d):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rpt = tmp_path / "bad.json"
+    code, _, _ = run(capsys, "validate", "--config", str(cfg), "--json", str(rpt))
+    assert code == 1
+    action = load_report(rpt)["action"]
+    assert (action["p"], action["d"], action["label"]) == (p, d, "")
 
 
 def test_null_seed_and_label_mean_the_defaults(tmp_path, capsys):

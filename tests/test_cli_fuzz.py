@@ -1,7 +1,10 @@
 """Fuzz gate for the command line: drawn configs and flags, all five
 commands.  Every run exits with a documented code (0-3) and raises
 nothing; with --json it writes a schema-valid report whose status
-matches the exit code, and exit 3 writes no report.
+matches the exit code, and exit 3 writes no report.  A parse-error
+message names the config key, never a Python exception's text.  Any
+value of p, d, the optional keys and the tap fields is now and then
+junk, and a tap now and then lacks a key.
 
 Runs are in-process through console_main and without --oracle (the
 oracle has its own tests; an 8-dim F_2 lattice image alone takes about
@@ -21,6 +24,8 @@ from hypothesis import strategies as st
 from equifix.cli import COMMANDS, EXAMPLES, REPORT_SCHEMA, build_parser, console_main
 
 STATUS_OF_CODE = {0: "ok", 1: "validation-failure", 2: "window-too-small"}
+# Python exception texts a parse-error message must never show.
+EXCEPTION_TEXTS = ("unpack", "KeyError(", "TypeError(", "int() argument")
 JUNK = st.sampled_from([None, -1, 0, 7, 1.5, "x", True, [], {"a": 1}, [1, 2, 3]])
 
 
@@ -37,12 +42,20 @@ def mostly(values):
     return RARELY.flatmap(lambda junk: JUNK if junk else values)
 
 
+def lossy(tap):
+    """tap, rarely without one of its keys."""
+    return RARELY.flatmap(lambda lose: st.sampled_from(sorted(tap)).map(
+        lambda key: {k: v for k, v in tap.items() if k != key}) if lose else st.just(tap))
+
+
 @st.composite
 def configs(draw):
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.integers(1, 3))
     pair = st.tuples(st.integers(1, d), st.integers(-2, 2)).map(list)
-    tap = st.fixed_dictionaries({"in": pair, "out": pair, "coeff": st.integers(1, p - 1)})
+    tap = st.fixed_dictionaries(
+        {"in": mostly(pair), "out": mostly(pair), "coeff": mostly(st.integers(1, p - 1))}
+    ).flatmap(lossy)
     data = {"p": draw(mostly(st.just(p))), "d": draw(mostly(st.just(d))),
             "seed": draw(mostly(st.lists(tap, max_size=3)))}
     optional = {
@@ -115,3 +128,6 @@ def test_every_run_exits_with_a_documented_code_and_a_matching_report(tmp_path, 
     assert body["command"] == command
     assert body["status"] == STATUS_OF_CODE[code], body
     assert ("reason" in body) == (code != 0)
+    if body.get("reason") == "parse-error":
+        message = body["result"]["message"]
+        assert not any(t in message for t in EXCEPTION_TEXTS), message
