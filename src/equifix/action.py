@@ -128,10 +128,6 @@ class PhiOperator:
     factors: tuple[tuple[int, int], ...]
 
     def apply(self, u: SeriesVector) -> SeriesVector:
-        if u.prec < self.target_prec:
-            raise InsufficientPrecision(
-                f"operand precision {u.prec} below the operator's target {self.target_prec}"
-            )
         # Walk the factors backward: a factor is applied mod t^need, the
         # precision the later factors need, and needs its input one past
         # each coefficient its taps read to write below t^need, since a

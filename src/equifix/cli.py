@@ -14,7 +14,8 @@ label, precision, l_max, n_max, window ("lo:hi" or [lo, hi]) and
 rng_seed.  A tap's in and out are integer pairs [component, exponent];
 its coeff is an integer, 1 when the key is missing.  Any other key, a
 missing p or d, an integer field holding anything but a YAML integer, a
-seed that is not a list of such taps and a label that is not a string
+d below 1, a tap component outside 1..d, a seed that is not a list of
+such taps, a label that is not a string and a window without lo < hi
 are parse errors whose message names the key; a null seed or label
 means the empty default.  The report of a rejected config shows only
 values that passed their check.  Flags override config values.  Exit
@@ -229,10 +230,10 @@ def _optional(data: dict, key: str, default):
     return default if value is None else value
 
 
-def _read_tap(i: int, item) -> TapEntry:
-    """seed[i] as a TapEntry: `in` and `out` integer pairs [component,
-    exponent] with the exponent within the cap, `coeff` an integer (1
-    when missing); each key is checked once, in the tap's own order."""
+def _read_tap(i: int, item, d: int) -> TapEntry:
+    """seed[i] as a TapEntry: `in` and `out` integer pairs [component in
+    1..d, exponent within the cap], `coeff` an integer (1 when missing);
+    each key is checked once, in the tap's own order."""
     if not isinstance(item, dict):
         raise ValueError(f"seed[{i}] must be a mapping with keys in, out, coeff")
     for key, value in item.items():
@@ -247,6 +248,8 @@ def _read_tap(i: int, item) -> TapEntry:
         elif not isinstance(value, list) or len(value) != 2:
             raise ValueError(f"seed[{i}] key {key!r} must be a pair [component, exponent], "
                              f"got {value!r}")
+        elif not 1 <= value[0] <= d:
+            raise ValueError(f"seed[{i}] key {key!r} component {value[0]} outside 1..{d}")
         elif abs(value[1]) > MAX_EXPONENT:
             raise LimitExceeded(f"seed[{i}] key {key!r} exponent {value[1]} beyond "
                                 f"±{MAX_EXPONENT}")
@@ -256,9 +259,24 @@ def _read_tap(i: int, item) -> TapEntry:
     return TapEntry(*item["in"], *item["out"], item.get("coeff", 1))
 
 
-def _read_config(data: dict) -> ActionSpec:
-    """The action spec of a config, built from checked values; each key
-    is checked once, in the order below, and a ValueError names it."""
+def _read_window(value) -> tuple[int, int]:
+    """The config window: a pair [lo, hi] of integers or a string "lo:hi",
+    with lo < hi."""
+    if isinstance(value, str):
+        try:
+            return _window_arg(value)
+        except argparse.ArgumentTypeError:
+            pass
+    elif (isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value)
+          and value[0] < value[1]):
+        return value[0], value[1]
+    raise ValueError(f"config key 'window' must be a pair [lo, hi] or a string 'lo:hi' "
+                     f"of integers with lo < hi, got {value!r}")
+
+
+def _read_config(data: dict) -> tuple[ActionSpec, tuple[int, int] | None]:
+    """The action spec and window of a config, from checked values; each
+    key is checked once, in the order below, and a ValueError names it."""
     for key in data:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
@@ -268,18 +286,20 @@ def _read_config(data: dict) -> ActionSpec:
             raise ValueError(f"config key {key!r} is required")
         if value is not None and not _is_int(value):
             raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+        if key == "d" and value < 1:
+            raise ValueError(f"config key 'd' must be at least 1, got {value}")
     seed = _optional(data, "seed", [])
     if not isinstance(seed, list):
         raise ValueError(f"config key 'seed' must be a list of taps, got {seed!r}")
-    entries = [_read_tap(i, item) for i, item in enumerate(seed)]
+    p, d = data["p"], data["d"]
+    entries = [_read_tap(i, item, d) for i, item in enumerate(seed)]
     label = _optional(data, "label", "")
     if not isinstance(label, str):
         raise ValueError(f"config key 'label' must be a string, got {label!r}")
     window = data.get("window")
-    if isinstance(window, list) and not all(_is_int(x) for x in window):
-        raise ValueError(f"config key 'window' must hold integers, got {window!r}")
-    p, d = data["p"], data["d"]
-    return ActionSpec(p=p, d=d, seed=SparsePerturbation(p, d, entries), label=label)
+    if window is not None:
+        window = _read_window(window)
+    return ActionSpec(p=p, d=d, seed=SparsePerturbation(p, d, entries), label=label), window
 
 
 def _action_dict(spec: ActionSpec) -> dict:
@@ -305,7 +325,8 @@ def _fallback_action_dict(data: dict) -> dict:
             "label": label if isinstance(label, str) else "", "seed": []}
 
 
-def _resolve_params(args, data: dict) -> dict:
+def _resolve_params(args, data: dict, window: tuple[int, int] | None) -> dict:
+    """The run's params: each flag given overrides its checked config value."""
     def pick(flag_value, key, default):
         return _optional(data, key, default) if flag_value is None else flag_value
 
@@ -316,14 +337,7 @@ def _resolve_params(args, data: dict) -> dict:
     }
     if hasattr(args, "n_max"):
         params["n_max"] = pick(args.n_max, "n_max", DEFAULT_N_MAX)
-    window = args.window
-    if window is None and data.get("window") is not None:
-        raw = data["window"]
-        try:
-            window = _window_arg(":".join(map(str, raw)) if isinstance(raw, list) else str(raw))
-        except argparse.ArgumentTypeError:
-            raise ValueError(f"malformed window {raw!r} in config")
-    params["window"] = window
+    params["window"] = window if args.window is None else args.window
     if params["precision"] < 1:
         raise ValueError("precision must be >= 1")
     if params["l_max"] < 0:
@@ -627,8 +641,8 @@ def _run(args, command: str) -> int:
     compute, policy_window = COMMANDS[command]
     data = _load_config(args.config)
     try:
-        spec = _read_config(data)
-        params = _resolve_params(args, data)
+        spec, window = _read_config(data)
+        params = _resolve_params(args, data, window)
     except ValueError as exc:
         return _fail(args, command, _fallback_action_dict(data), {"window": None}, exc)
     action_dict = _action_dict(spec)
@@ -690,7 +704,7 @@ def cmd_gen_example(args) -> int:
         args,
         "gen-example",
         "ok",
-        _action_dict(_read_config(yaml.safe_load(text))),
+        _action_dict(_read_config(yaml.safe_load(text))[0]),
         {"name": args.name, "window": None},
         {"config": text},
         human=human,

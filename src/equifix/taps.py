@@ -143,29 +143,6 @@ class SparsePerturbation:
                     )
         return SparsePerturbation(self.p, self.d, chained)
 
-    def apply(self, v: SeriesVector, out_prec: int | None = None) -> SeriesVector:
-        """N(v), exact modulo t^out_prec (default: v's precision).
-
-        A tap writing below out_prec must read a coefficient v actually
-        knows; otherwise the result is not determined and this raises
-        InsufficientPrecision.  Writes at or beyond out_prec vanish in
-        the truncation and their reads are never attempted.
-        """
-        if v.p != self.p or v.d != self.d:
-            raise DimensionMismatch("vector and perturbation are incompatible")
-        target = v.prec if out_prec is None else out_prec
-        acc: list[dict[int, int]] = [dict() for _ in range(self.d)]
-        for e in self.entries:
-            if e.out_exp >= target:
-                continue
-            c_in = v.component(e.in_comp).coeff(e.in_exp)
-            if c_in:
-                slot = acc[e.out_comp - 1]
-                slot[e.out_exp] = (slot.get(e.out_exp, 0) + e.coeff * c_in) % self.p
-        return SeriesVector(
-            [LaurentSeries.from_terms(self.p, terms, target) for terms in acc]
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePerturbation):
             return NotImplemented
@@ -355,15 +332,25 @@ class SeedAutomorphism:
     def d(self) -> int:
         return self.perturbation.d
 
-    def conjugate(self, k: int) -> SparsePerturbation:
-        """Perturbation part of g_k = t^k g t^{-k}."""
-        return self.perturbation.conjugate(k)
-
     def apply(self, v: SeriesVector, k: int = 0, out_prec: int | None = None) -> SeriesVector:
-        """g_k(v) = v + N_k(v), exact to out_prec (default v.prec)."""
+        """g_k(v) = v + N_k(v) mod t^out_prec (default v.prec), each component
+        rebuilt once.  A tap of N_k = t^k N t^{-k} writing below out_prec
+        reads v at in_exp + k, and raises InsufficientPrecision if v does
+        not know it; a tap writing at or above out_prec is never read."""
+        n = self.perturbation
+        if v.p != n.p or v.d != n.d:
+            raise DimensionMismatch("vector and automorphism are incompatible")
         target = v.prec if out_prec is None else out_prec
         if target > v.prec:
             raise InsufficientPrecision(
                 f"cannot produce precision {target} from input precision {v.prec}"
             )
-        return v.truncate(target).add(self.conjugate(k).apply(v, target))
+        acc = [dict(s.terms) for s in v.series]
+        for e in n.entries:
+            out_exp = e.out_exp + k
+            if out_exp < target:
+                c_in = v.series[e.in_comp - 1].coeff(e.in_exp + k)
+                if c_in:
+                    slot = acc[e.out_comp - 1]
+                    slot[out_exp] = slot.get(out_exp, 0) + e.coeff * c_in
+        return SeriesVector([LaurentSeries.from_terms(n.p, terms, target) for terms in acc])

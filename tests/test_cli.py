@@ -189,6 +189,12 @@ STRICT_CONFIG_CASES = [
     ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: [1, 1]}\n", "coeff"),
     ("p: 2\nd: 2\nseed:\n  - {out: [2, 0], coeff: 1}\n", "in"),
     ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], coeff: 1}\n", "out"),
+    ("p: 2\nd: -1\nseed: []\n", "d"),
+    ("p: 2\nd: 2\nseed: []\nwindow: [2, 2]\n", "window"),
+    ("p: 2\nd: 2\nseed: []\nwindow: [0, 1, 2]\n", "window"),
+    ("p: 2\nd: 2\nseed: []\nwindow: '3:1'\n", "window"),
+    ("p: 2\nd: 2\nseed: []\nwindow: '0:x'\n", "window"),
+    ("p: 2\nd: 2\nseed: []\nwindow: 5\n", "window"),
 ]
 # Python exception texts a parse-error message must never show.
 EXCEPTION_TEXTS = ("unpack", "KeyError(", "TypeError(", "int() argument")
@@ -545,6 +551,58 @@ def test_invariant_chain_respects_config_window_key(tmp_path, capsys):
     code, _, _ = run(capsys, "invariant-chain", "--config", str(cfg), "--json", str(rpt))
     assert code == 0
     assert load_report(rpt)["params"]["window"] == {"lo": 0, "hi": 3}
+
+
+def test_config_window_string_and_flag_override(tmp_path, capsys):
+    cfg = tmp_path / "windowed.yaml"
+    cfg.write_text("p: 2\nd: 2\nwindow: '-1:3'\nseed:\n  - {in: [1, 0], out: [2, 0], coeff: 1}\n")
+    for flags, window in (((), {"lo": -1, "hi": 3}), (("--window=0:2",), {"lo": 0, "hi": 2})):
+        rpt = tmp_path / "windowed.json"
+        code, _, _ = run(capsys, "invariant-chain", "--config", str(cfg), *flags, "--json", str(rpt))
+        assert code == 0
+        assert load_report(rpt)["params"]["window"] == window
+
+
+@pytest.mark.parametrize(
+    "line,flags,key",
+    [
+        ("window: [3, 1]", ("--window=-2:4",), "window"),
+        ("precision: '4'", ("--precision", "3"), "precision"),
+    ],
+    ids=["window", "precision"],
+)
+def test_bad_config_value_is_rejected_when_a_flag_overrides_it(tmp_path, capsys, line, flags, key):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"p: 2\nd: 2\n{line}\nseed:\n  - {{in: [1, 0], out: [2, 0], coeff: 1}}\n")
+    rpt = tmp_path / "bad.json"
+    code, _, err = run(capsys, "find-fixed", "--config", str(cfg), *flags, "--json", str(rpt))
+    assert code == 1
+    assert "parse-error" in err
+    report = load_report(rpt)
+    assert report["reason"] == "parse-error"
+    assert f"config key '{key}'" in report["result"]["message"]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p: 2\nd: 0\nseed: []\n", "config key 'd' must be at least 1, got 0"),
+        ("p: 2\nd: 2\nseed:\n  - {in: [3, 0], out: [2, 0], coeff: 1}\n",
+         "seed[0] key 'in' component 3 outside 1..2"),
+        ("p: 2\nd: 2\nseed:\n  - {in: [1, 0], out: [2, 0]}\n  - {in: [1, 0], out: [0, 1]}\n",
+         "seed[1] key 'out' component 0 outside 1..2"),
+    ],
+    ids=["d", "in", "out"],
+)
+def test_reader_names_the_key_of_a_bad_dimension_or_component(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rpt = tmp_path / "bad.json"
+    code, _, err = run(capsys, "validate", "--config", str(cfg), "--json", str(rpt))
+    assert code == 1
+    assert f"validate: parse-error: {message}" in err
+    report = load_report(rpt)
+    assert (report["reason"], report["result"]["message"]) == ("parse-error", message)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

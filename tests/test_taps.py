@@ -7,11 +7,18 @@ import pytest
 
 from equifix.errors import (
     DimensionMismatch,
+    InsufficientPrecision,
     NonCommuting,
     NotOrderP,
     WindowTooNarrow,
 )
-from equifix.laurent import LatticeWindow, SeriesVector, parse_series, random_vector
+from equifix.laurent import (
+    LatticeWindow,
+    LaurentSeries,
+    SeriesVector,
+    parse_series,
+    random_vector,
+)
 from equifix.linalg import FpMatrix
 from equifix.taps import (
     ContractionModulus,
@@ -88,14 +95,15 @@ def test_conjugate_equals_the_constructor_on_the_shifted_entries():
 
 
 def test_conjugate_matches_shifted_application():
-    # t^k N t^-k applied to v must equal shifting down, applying, shifting up.
+    # g_k(v) = t^k g(t^-k v): the seed reads above where it writes, and for
+    # some k one tap writes at or above the truncation order.
     rng = random.Random(420)
-    n = pert(3, 2, (1, 1, 2, -1, 2), (2, 0, 1, 2, 1))
+    g = SeedAutomorphism(pert(3, 2, (1, 1, 2, -1, 2), (1, 0, 2, 1, 1)))
     for _ in range(40):
         k = rng.randint(-2, 2)
         v = random_vector(rng, 3, 2, prec=6, min_val=-3)
-        direct = n.conjugate(k).apply(v, out_prec=2)
-        via_shift = n.apply(v.shift(-k), out_prec=2 - k).shift(k)
+        direct = g.apply(v, k, out_prec=2)
+        via_shift = g.apply(v.shift(-k), out_prec=2 - k).shift(k)
         assert direct == via_shift
 
 
@@ -371,3 +379,42 @@ def test_apply_at_conjugate_level():
     assert out.component(2).coeff(2) == 1
     # conjugate at k=3 reads 1@3 = 0: nothing happens
     assert g.apply(v, k=3) == v
+
+
+def test_apply_reads_only_where_a_tap_writes_below_the_target():
+    # The tap reads t^5 and writes t^2.  Known mod t^3, v cannot give the
+    # write at t^2; mod t^2 the write vanishes and t^5 is never read.
+    g = SeedAutomorphism(pert(2, 2, (1, 5, 2, 2, 1)))
+    v = SeriesVector([parse_series("1 + t^2 + O(t^3)", 2, 3), parse_series("t + O(t^3)", 2, 3)])
+    with pytest.raises(InsufficientPrecision):
+        g.apply(v)
+    assert g.apply(v, out_prec=2) == v.truncate(2)
+    # at k = -3 the same tap reads t^2, which v knows, and writes t^-1
+    out = g.apply(v, k=-3)
+    assert out.component(2) == parse_series("t^-1 + t + O(t^3)", 2, 3)
+    with pytest.raises(InsufficientPrecision):
+        g.apply(v, out_prec=4)  # beyond what v knows
+    with pytest.raises(DimensionMismatch):
+        g.apply(SeriesVector.zero(2, 3, 3))
+    with pytest.raises(DimensionMismatch):
+        g.apply(SeriesVector.zero(3, 2, 3))
+
+
+def test_apply_rebuilds_each_component_once(monkeypatch):
+    """One application copies each component's terms, adds the writes of
+    every tap and builds each of the d output series exactly once."""
+    rng = random.Random(424)
+    g = SeedAutomorphism(pert(3, 3, (1, 0, 2, 0, 1), (2, 0, 3, 0, 1), (1, 2, 3, -1, 2)))
+    v = random_vector(rng, 3, 3, prec=8, min_val=-2)
+    real = LaurentSeries.from_terms.__func__
+    built = []
+
+    def counting_from_terms(cls, p, terms, prec):
+        built.append(prec)
+        return real(cls, p, terms, prec)
+
+    monkeypatch.setattr(LaurentSeries, "from_terms", classmethod(counting_from_terms))
+    for k, out_prec in ((0, None), (1, 5), (-2, 8)):
+        built.clear()
+        out = g.apply(v, k, out_prec=out_prec)
+        assert built == [out.prec] * 3
