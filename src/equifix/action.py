@@ -98,22 +98,6 @@ def build_action(spec: ActionSpec) -> Action:
     return Action(spec, auto, derive_modulus(spec.seed))
 
 
-def _factors(a: Action, x: LaurentSeries, target_prec: int) -> list[tuple[int, int]]:
-    """The (k, c_k) monomial factors of x that are visible mod t^target_prec."""
-    if x.p != a.p:
-        raise DimensionMismatch("series and action live over different fields")
-    if a.seed.is_zero:
-        return []
-    # The first k whose generator is invisible mod t^target_prec.
-    threshold = a.modulus.threshold(target_prec)
-    if x.prec < threshold:
-        raise InsufficientPrecision(
-            f"x known mod t^{x.prec} does not determine the action mod t^{target_prec}; "
-            f"need x mod t^{threshold}"
-        )
-    return [(k, c) for k, c in x.terms.items() if k < threshold]
-
-
 @dataclass(frozen=True)
 class PhiOperator:
     """phi(x) cut to a target order: a finite product of generator powers.
@@ -128,44 +112,32 @@ class PhiOperator:
     factors: tuple[tuple[int, int], ...]
 
     def apply(self, u: SeriesVector) -> SeriesVector:
-        # Walk the factors backward: a factor is applied mod t^need, the
-        # precision the later factors need, and needs its input one past
-        # each coefficient its taps read to write below t^need, since a
-        # seed may read above where it writes.
         steps = [k for k, c in self.factors for _ in range(c)]
-        entries = self.action.seed.entries
-        needs = [self.target_prec]
-        for k in reversed(steps):
-            need = needs[-1]
-            needs.append(max([need] + [e.in_exp + k + 1 for e in entries if e.out_exp + k < need]))
-        needs.reverse()
-        if u.prec < needs[0]:
-            raise InsufficientPrecision(
-                f"operand known mod t^{u.prec}; the factors of phi mod t^{self.target_prec} "
-                f"read it mod t^{needs[0]}"
-            )
-        v = u
-        for k, need in zip(steps, needs[1:]):
-            v = self.action.seed_auto.apply(v, k, out_prec=need)
-        return v.truncate(self.target_prec)
+        return self.action.seed_auto.apply_steps(u, steps, self.target_prec)
 
 
-def phi(a: Action, x: LaurentSeries, target: LatticeWindow | int) -> PhiOperator:
-    """The operator phi(x), exact modulo t^hi of the target window/order."""
-    hi = target.hi if isinstance(target, LatticeWindow) else int(target)
-    return PhiOperator(a, hi, tuple(_factors(a, x, hi)))
+def phi(a: Action, x: LaurentSeries, target: int) -> PhiOperator:
+    """The operator phi(x), exact modulo t^target: the (k, c_k) monomial
+    factors of x that are visible there."""
+    if x.p != a.p:
+        raise DimensionMismatch("series and action live over different fields")
+    if a.seed.is_zero:
+        return PhiOperator(a, target, ())
+    # The first k whose generator is invisible mod t^target.
+    threshold = a.modulus.threshold(target)
+    if x.prec < threshold:
+        raise InsufficientPrecision(
+            f"x known mod t^{x.prec} does not determine the action mod t^{target}; "
+            f"need x mod t^{threshold}"
+        )
+    return PhiOperator(a, target, tuple((k, c) for k, c in x.terms.items() if k < threshold))
 
 
 def apply_phi(a: Action, x: LaurentSeries, u: SeriesVector, out_prec: int | None = None) -> SeriesVector:
     """Evaluate phi(x)(u), exact modulo t^out_prec (default: u's precision)."""
     if u.p != a.p or u.d != a.d:
         raise DimensionMismatch("vector and action are incompatible")
-    target = u.prec if out_prec is None else out_prec
-    if target > u.prec:
-        raise InsufficientPrecision(
-            f"cannot produce precision {target} from operand precision {u.prec}"
-        )
-    return phi(a, x, target).apply(u)
+    return phi(a, x, u.prec if out_prec is None else out_prec).apply(u)
 
 
 @dataclass(frozen=True)

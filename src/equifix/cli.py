@@ -10,7 +10,7 @@ Subcommands
 
 Configs are YAML with keys p, d, seed (a list of
 {in: [comp, exp], out: [comp, exp], coeff: c} taps), and optional
-label, precision, l_max, n_max, window ("lo:hi" or [lo, hi]) and
+label, precision, l_max, n_max, window ([lo, hi] or quoted "lo:hi") and
 rng_seed.  A tap's in and out are integer pairs [component, exponent];
 its coeff is an integer, 1 when the key is missing.  Any other key, a
 missing p or d, an integer field holding anything but a YAML integer, a
@@ -261,7 +261,8 @@ def _read_tap(i: int, item, d: int) -> TapEntry:
 
 def _read_window(value) -> tuple[int, int]:
     """The config window: a pair [lo, hi] of integers or a string "lo:hi",
-    with lo < hi."""
+    with lo < hi.  YAML 1.1 reads an unquoted lo:hi such as 1:3 as the
+    base-60 integer 63, so an integer window is told to quote the form."""
     if isinstance(value, str):
         try:
             return _window_arg(value)
@@ -270,6 +271,10 @@ def _read_window(value) -> tuple[int, int]:
     elif (isinstance(value, list) and len(value) == 2 and all(_is_int(x) for x in value)
           and value[0] < value[1]):
         return value[0], value[1]
+    elif _is_int(value):
+        raise ValueError(f"config key 'window' got the integer {value}; YAML reads an unquoted "
+                         f"lo:hi as a base-60 integer, so write the pair [lo, hi] or the "
+                         f"quoted string \"lo:hi\"")
     raise ValueError(f"config key 'window' must be a pair [lo, hi] or a string 'lo:hi' "
                      f"of integers with lo < hi, got {value!r}")
 

@@ -595,7 +595,8 @@ def _certificate_reads_fit(a: Action, precision: int, w: LatticeWindow) -> bool:
     each g_k as applied at that full precision: a tap of N_k that writes
     below t^hi reads its input coefficient, which must lie below t^hi, so
     tap e fails for the k with hi - e.in_exp <= k < hi - e.out_exp.
-    PhiOperator.apply needs only the writes below t^precision, so the
+    SeedAutomorphism.apply_steps, which applies the factors of each
+    apply_phi, needs only the writes below t^precision, so the
     certificate may read its taps on a window this test rejects, and is
     then run on the doubled window all the same.  A window sized to the
     exact need changes outputs and waits for a re-record of the goldens.

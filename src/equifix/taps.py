@@ -333,24 +333,41 @@ class SeedAutomorphism:
         return self.perturbation.d
 
     def apply(self, v: SeriesVector, k: int = 0, out_prec: int | None = None) -> SeriesVector:
-        """g_k(v) = v + N_k(v) mod t^out_prec (default v.prec), each component
-        rebuilt once.  A tap of N_k = t^k N t^{-k} writing below out_prec
-        reads v at in_exp + k, and raises InsufficientPrecision if v does
-        not know it; a tap writing at or above out_prec is never read."""
+        """g_k(v) = v + N_k(v) mod t^out_prec (default v.prec): the one-step
+        case of apply_steps."""
+        return self.apply_steps(v, [k], v.prec if out_prec is None else out_prec)
+
+    def apply_steps(self, v: SeriesVector, steps: list[int], out_prec: int) -> SeriesVector:
+        """g_{k_m} ... g_{k_1}(v) mod t^out_prec on per-component term dicts,
+        each output component built once.
+
+        Walked backward first, step i runs mod t^need_i: the precision the
+        later steps read, raised past each input its taps writing below it
+        read (a seed may read above where it writes).  Each step takes its
+        writes from the state the previous step left, never from its own;
+        terms at or past a step's need are never read again."""
         n = self.perturbation
         if v.p != n.p or v.d != n.d:
             raise DimensionMismatch("vector and automorphism are incompatible")
-        target = v.prec if out_prec is None else out_prec
-        if target > v.prec:
+        needs = [out_prec]
+        for k in reversed(steps):
+            need = needs[-1]
+            needs.append(max([need] + [e.in_exp + k + 1 for e in n.entries if e.out_exp + k < need]))
+        needs.reverse()
+        if v.prec < needs[0]:
             raise InsufficientPrecision(
-                f"cannot produce precision {target} from input precision {v.prec}"
+                f"operand known mod t^{v.prec}; the factors of phi mod t^{out_prec} "
+                f"read it mod t^{needs[0]}"
             )
+        p = n.p
         acc = [dict(s.terms) for s in v.series]
-        for e in n.entries:
-            out_exp = e.out_exp + k
-            if out_exp < target:
-                c_in = v.series[e.in_comp - 1].coeff(e.in_exp + k)
-                if c_in:
-                    slot = acc[e.out_comp - 1]
-                    slot[out_exp] = slot.get(out_exp, 0) + e.coeff * c_in
-        return SeriesVector([LaurentSeries.from_terms(n.p, terms, target) for terms in acc])
+        for k, need in zip(steps, needs[1:]):
+            writes = [
+                (acc[e.out_comp - 1], e.out_exp + k, e.coeff * acc[e.in_comp - 1].get(e.in_exp + k, 0))
+                for e in n.entries
+                if e.out_exp + k < need
+            ]
+            for slot, out_exp, c in writes:
+                if c:
+                    slot[out_exp] = (slot.get(out_exp, 0) + c) % p
+        return SeriesVector([LaurentSeries.from_terms(p, terms, out_prec) for terms in acc])

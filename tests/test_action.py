@@ -81,7 +81,7 @@ def test_action_exposes_shape_attributes():
 def test_phi_of_zero_is_identity():
     a = mk_action(*TAP)
     w = LatticeWindow(0, 3, d=2, p=2)
-    op = phi(a, LaurentSeries.zero(2, 5), w)
+    op = phi(a, LaurentSeries.zero(2, 5), w.hi)
     assert op.factors == ()  # the empty product: the identity
 
 
@@ -101,7 +101,7 @@ def test_phi_of_deep_power_is_invisible_on_window():
     a = mk_action(*TAP)
     w = LatticeWindow(0, 3, d=2, p=2)
     # mu(k) = k for this seed, so the k = 3 generator writes at t^3
-    op = phi(a, LaurentSeries.t_power(2, 3, prec=7), w)
+    op = phi(a, LaurentSeries.t_power(2, 3, prec=7), w.hi)
     assert op.factors == ()  # the empty product: the identity
 
 
@@ -180,6 +180,74 @@ def test_apply_phi_reads_only_what_each_factor_needs():
         if need > 4:
             with pytest.raises(InsufficientPrecision, match=f"read it mod t\\^{need}"):
                 apply_phi(a, x, ones.truncate(need - 1), out_prec=4)
+
+
+def _per_factor_apply(op, u):
+    """Reference for PhiOperator.apply: the same backward walk, then one
+    SeriesVector per factor, each g_k applied at its walk precision by
+    reading the previous factor's series, and a final cut to the target."""
+    n = op.action.seed
+    steps = [k for k, c in op.factors for _ in range(c)]
+    needs = [op.target_prec]
+    for k in reversed(steps):
+        need = needs[-1]
+        needs.append(max([need] + [e.in_exp + k + 1 for e in n.entries if e.out_exp + k < need]))
+    needs.reverse()
+    if u.prec < needs[0]:
+        raise InsufficientPrecision(
+            f"operand known mod t^{u.prec}; the factors of phi mod t^{op.target_prec} "
+            f"read it mod t^{needs[0]}"
+        )
+    v = u
+    for k, need in zip(steps, needs[1:]):
+        acc = [dict(s.terms) for s in v.series]
+        for e in n.entries:
+            if e.out_exp + k < need:
+                c_in = v.series[e.in_comp - 1].coeff(e.in_exp + k)
+                slot = acc[e.out_comp - 1]
+                slot[e.out_exp + k] = slot.get(e.out_exp + k, 0) + e.coeff * c_in
+        v = SeriesVector([LaurentSeries.from_terms(n.p, terms, need) for terms in acc])
+    return v.truncate(op.target_prec)
+
+
+def test_apply_phi_matches_the_per_factor_route():
+    """On random certified actions whose seeds drop below the lattice or
+    read above where they write, and x with coefficients up to p - 1,
+    apply_phi equals the per-factor reference; on every shorter u it
+    returns the same series or raises the same message."""
+    rng = random.Random(440)
+    actions = [
+        random_valid_action(rng, p, rng.randint(2, 3), exp_lo=-2, exp_hi=2)
+        for p in (2, 3, 5)
+        for _ in range(12)
+    ]
+    # A relay: the tap into 2@3 feeds the tap out of 2@3, so the second
+    # copy of a repeated factor reads what the first wrote above the target.
+    actions += [mk_action(p, 3, [(1, 0, 2, 3, 1), (2, 3, 3, 0, 1)]) for p in (3, 5)]
+    seen = {"drop": 0, "reads_above": 0, "top_coeff": 0, "short": 0}
+    for a in actions:
+        seen["drop"] += a.drop > 0
+        seen["reads_above"] += any(e.in_exp > e.out_exp for e in a.seed.entries)
+        for _ in range(3):
+            target = rng.randint(1, 5)
+            x = random_series(rng, a.p, prec=target + a.drop + 1, min_val=-3)
+            seen["top_coeff"] += a.p - 1 in x.terms.values()
+            full = random_vector(rng, a.p, a.d, prec=target + 12, min_val=-3)
+            op = phi(a, x, target)
+            expected = _per_factor_apply(op, full)
+            for prec in range(target, target + 12):
+                u = full.truncate(prec)
+                try:
+                    ref = _per_factor_apply(op, u)
+                except InsufficientPrecision as exc:
+                    seen["short"] += 1
+                    with pytest.raises(InsufficientPrecision) as got:
+                        apply_phi(a, x, u, out_prec=target)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert ref == expected
+                assert apply_phi(a, x, u, out_prec=target) == expected
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------- equivariance

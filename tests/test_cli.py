@@ -195,6 +195,8 @@ STRICT_CONFIG_CASES = [
     ("p: 2\nd: 2\nseed: []\nwindow: '3:1'\n", "window"),
     ("p: 2\nd: 2\nseed: []\nwindow: '0:x'\n", "window"),
     ("p: 2\nd: 2\nseed: []\nwindow: 5\n", "window"),
+    ("p: 2\nd: 2\nseed: []\nwindow: 1:3\n", "window"),  # YAML 1.1 reads 1:3 as 63
+    ("p: 2\nd: 2\nseed: []\nwindow: -1:3\n", "window"),  # and -1:3 as -63
 ]
 # Python exception texts a parse-error message must never show.
 EXCEPTION_TEXTS = ("unpack", "KeyError(", "TypeError(", "int() argument")
@@ -561,6 +563,19 @@ def test_config_window_string_and_flag_override(tmp_path, capsys):
         code, _, _ = run(capsys, "invariant-chain", "--config", str(cfg), *flags, "--json", str(rpt))
         assert code == 0
         assert load_report(rpt)["params"]["window"] == window
+
+
+@pytest.mark.parametrize("text,read", [("1:3", 63), ("-1:3", -63)])
+def test_unquoted_config_window_is_told_to_quote(tmp_path, capsys, text, read):
+    cfg = tmp_path / "windowed.yaml"
+    cfg.write_text(f"p: 2\nd: 2\nwindow: {text}\nseed: []\n")
+    rpt = tmp_path / "windowed.json"
+    code, _, _ = run(capsys, "invariant-chain", "--config", str(cfg), "--json", str(rpt))
+    assert code == 1
+    report = load_report(rpt)
+    assert report["reason"] == "parse-error"
+    message = report["result"]["message"]
+    assert f"the integer {read};" in message and 'quoted string "lo:hi"' in message
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from equifix.action import ActionSpec, apply_phi, build_action
 from equifix.errors import (
     DimensionMismatch,
     InsufficientPrecision,
@@ -418,3 +419,22 @@ def test_apply_rebuilds_each_component_once(monkeypatch):
         built.clear()
         out = g.apply(v, k, out_prec=out_prec)
         assert built == [out.prec] * 3
+
+
+def test_apply_phi_builds_each_component_once(monkeypatch):
+    """phi(1 + t + t^2) on d = 2 runs its three factors on term dicts and
+    builds each of the two output series once, at the target precision."""
+    a = build_action(ActionSpec(2, 2, pert(2, 2, TAP)))
+    x = LaurentSeries.from_terms(2, {0: 1, 1: 1, 2: 1}, 4)
+    v = random_vector(random.Random(425), 2, 2, prec=6, min_val=-1)
+    real = LaurentSeries.from_terms.__func__
+    built = []
+
+    def counting_from_terms(cls, p, terms, prec):
+        built.append(prec)
+        return real(cls, p, terms, prec)
+
+    monkeypatch.setattr(LaurentSeries, "from_terms", classmethod(counting_from_terms))
+    out = apply_phi(a, x, v, out_prec=4)
+    assert built == [4, 4]
+    assert out.prec == 4
