@@ -121,16 +121,14 @@ def phi(a: Action, x: LaurentSeries, target: int) -> PhiOperator:
     factors of x that are visible there."""
     if x.p != a.p:
         raise DimensionMismatch("series and action live over different fields")
-    if a.seed.is_zero:
-        return PhiOperator(a, target, ())
-    # The first k whose generator is invisible mod t^target.
-    threshold = a.modulus.threshold(target)
-    if x.prec < threshold:
+    # x's terms start at its valuation; a zero x has none below x.prec.
+    ks = a.modulus.visible(x.prec if x.is_zero else x.val, target)
+    if x.prec < ks.stop:
         raise InsufficientPrecision(
             f"x known mod t^{x.prec} does not determine the action mod t^{target}; "
-            f"need x mod t^{threshold}"
+            f"need x mod t^{ks.stop}"
         )
-    return PhiOperator(a, target, tuple((k, c) for k, c in x.terms.items() if k < threshold))
+    return PhiOperator(a, target, tuple((k, c) for k, c in x.terms.items() if k in ks))
 
 
 def apply_phi(a: Action, x: LaurentSeries, u: SeriesVector, out_prec: int | None = None) -> SeriesVector:
@@ -189,7 +187,7 @@ def equivariance_check(a: Action, samples, precision: int | None = None) -> Equi
 
 
 def generator_matrices(a: Action, ell: int, w: LatticeWindow) -> list[tuple[int, FpMatrix]]:
-    """Window matrices of the generators g_k for k = -ell up to the threshold.
+    """Window matrices of the visible generators g_k, k from -ell up.
 
     The list stops at the first k whose modulus pushes every write to
     t^hi or beyond; deeper k act as the identity on the window.  The
@@ -199,12 +197,7 @@ def generator_matrices(a: Action, ell: int, w: LatticeWindow) -> list[tuple[int,
         raise DimensionMismatch("window and action are incompatible")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if a.seed.is_zero:
-        return []
-    threshold = a.modulus.threshold(w.hi)
-    return [
-        (k, induced_matrix(a.seed.conjugate(k), w)) for k in range(-ell, threshold)
-    ]
+    return [(k, induced_matrix(a.seed.conjugate(k), w)) for k in a.modulus.visible(-ell, w.hi)]
 
 
 def fixed_condition_rows(a: Action, w: LatticeWindow) -> list:

@@ -17,10 +17,11 @@ missing p or d, an integer field holding anything but a YAML integer, a
 d below 1, a tap component outside 1..d, a seed that is not a list of
 such taps, a label that is not a string and a window without lo < hi
 are parse errors whose message names the key; a null seed or label
-means the empty default.  The report of a rejected config shows only
-values that passed their check.  Flags override config values.  Exit
-codes: 0 success, 1 validation failure, 2 soft failure (window,
-precision or l_max too small), 3 I/O or usage error.
+means the empty default.  A tap exponent beyond ±MAX_EXPONENT (laurent)
+or an l_max above it is limit-exceeded.  The report of a rejected
+config shows only values that passed their check.  Flags override
+config values.  Exit codes: 0 success, 1 validation failure, 2 soft
+failure (window, precision or l_max too small), 3 I/O or usage error.
 """
 
 from __future__ import annotations
@@ -347,6 +348,8 @@ def _resolve_params(args, data: dict, window: tuple[int, int] | None) -> dict:
         raise ValueError("precision must be >= 1")
     if params["l_max"] < 0:
         raise ValueError("l_max must be >= 0")
+    if params["l_max"] > MAX_EXPONENT:
+        raise LimitExceeded(f"l_max {params['l_max']} beyond {MAX_EXPONENT}")
     if params.get("n_max", 1) < 1:
         raise ValueError("n_max must be >= 1")
     return params
@@ -497,13 +500,8 @@ def _validate(action: Action, params: dict, _window, oracle: bool):
     ]
     eq = equivariance_check(action, samples, precision=precision)
     trivial = action.seed.is_zero
-    if trivial:
-        table = []
-    else:
-        table = [
-            [k, action.modulus.mu(k)]
-            for k in range(-l_max, action.modulus.threshold(precision))
-        ]
+    ks = action.modulus.visible(-l_max, precision)
+    table = [[k, action.modulus.mu(k)] for k in ks]
     result = {
         "trivial": trivial,
         "certificates": action.certificates(),
@@ -515,9 +513,7 @@ def _validate(action: Action, params: dict, _window, oracle: bool):
         human.append("trivial action (empty seed): every vector is fixed")
     else:
         human.append(
-            "modulus mu(k) = k + ({}) for k in [{}, {}):".format(
-                action.modulus.min_out, -l_max, action.modulus.threshold(precision)
-            )
+            f"modulus mu(k) = k + ({action.modulus.min_out}) for k in [{-l_max}, {ks.stop}):"
         )
         human.extend(f"  mu({k}) = {mu}" for k, mu in table)
     human.append(f"equivariance holds on {len(samples)} samples: {eq.ok}")

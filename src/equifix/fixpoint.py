@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import Action, apply_phi, fixed_condition_rows, generator_matrices
+from .action import Action, fixed_condition_rows, generator_matrices
 from .errors import (
     ChainInvariantViolation,
     DimensionMismatch,
@@ -50,7 +50,6 @@ from .errors import (
 )
 from .laurent import (
     LatticeWindow,
-    LaurentSeries,
     SeriesVector,
     coords_to_vector,
     format_series,
@@ -317,9 +316,9 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     if w.p != a.p or w.d != a.d:
         raise DimensionMismatch("window and action are incompatible")
     # g_k for k >= top acts as the identity on the window.  The trivial
-    # action has no visible generators: top = -l_max leaves every depth's
-    # range below empty.
-    top = -l_max if a.seed.is_zero else a.modulus.threshold(w.hi)
+    # action sees no generator: its visible range is empty and stops at
+    # -l_max, which leaves every depth's range below empty.
+    top = a.modulus.visible(-l_max, w.hi).stop
     # The lattice image and t times it are the coordinate subspaces of the
     # exponents >= 0 and >= 1, so membership is a read-off of the columns
     # of the exponents below 0 and at 0.
@@ -453,14 +452,18 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
     F ∩ m_hat, prefer those outside t*m_hat, then take the one of
     minimal valuation, breaking ties by lexicographically least
     coordinates.  Verification never reuses the matrices that produced
-    F: each check applies the action to the lifted series afresh.
+    F: each check applies a visible g_k (SeedAutomorphism.apply) to the
+    lifted series afresh.  A precision below 1 is a ValueError.
     """
+    if precision is not None and precision < 1:
+        raise ValueError("precision must be >= 1")
     w = chain.window
     n = precision if precision is not None else w.hi - a.drop
     if n < 1 or n > w.hi:
+        # The default precision hi - drop is at least 1 from a top of 1 + drop.
         raise WindowTooNarrow(
             f"precision {n} not representable on window [{w.lo},{w.hi})",
-            suggestion=_retry_suggestion(w, top=n),
+            suggestion=_retry_suggestion(w, top=n if precision is not None else 1 + a.drop),
         )
     meet = fixed_vectors(a, w, chain.m_hat)
     if meet.dim == 0:
@@ -483,17 +486,14 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
             f"every fixed vector found vanishes mod t^{n}",
             suggestion=_retry_suggestion(w),
         )
-    checks = []
-    if not a.seed.is_zero:
-        threshold = a.modulus.threshold(n)
-        for k in range(-a.max_in_exp, threshold):
-            x = LaurentSeries.t_power(a.p, k, prec=max(k + 1, threshold))
-            moved = apply_phi(a, x, lifted, out_prec=n)
-            checks.append((k, moved == witness))
+    checks = tuple(
+        (k, a.seed_auto.apply(lifted, k, n) == witness)
+        for k in a.modulus.visible(-a.max_in_exp, n)
+    )
     return FixedPointCertificate(
         witness=witness,
         precision=n,
-        checked_generators=tuple(checks),
+        checked_generators=checks,
         in_m_hat=chain.m_hat.contains_vector(pick),
         outside_t_m_hat=bool(outside[i]),
         window=w,
@@ -590,24 +590,19 @@ def _certificate_reads_fit(a: Action, precision: int, w: LatticeWindow) -> bool:
     """Whether extract_witness's certificate at this precision can read
     every tap it needs on w, judged conservatively.
 
-    The certificate applies each g_k, k in [-max_in_exp,
-    threshold(precision)), to a witness known mod t^hi.  This test reads
-    each g_k as applied at that full precision: a tap of N_k that writes
-    below t^hi reads its input coefficient, which must lie below t^hi, so
-    tap e fails for the k with hi - e.in_exp <= k < hi - e.out_exp.
-    SeedAutomorphism.apply_steps, which applies the factors of each
-    apply_phi, needs only the writes below t^precision, so the
-    certificate may read its taps on a window this test rejects, and is
-    then run on the doubled window all the same.  A window sized to the
-    exact need changes outputs and waits for a re-record of the goldens.
+    The certificate applies each g_k visible mod t^precision, k from
+    -max_in_exp, to a witness known mod t^hi.  This test asks the seed
+    what g_k needs when applied mod t^hi (SeedAutomorphism.needs), which
+    is at most hi exactly when every tap of N_k writing below t^hi reads
+    below it: tap e fails for the k with hi - e.in_exp <= k < hi -
+    e.out_exp.  The certificate applies g_k mod t^precision and needs
+    only the writes below that, so it may read its taps on a window this
+    test rejects, and is then run on the doubled window all the same.  A
+    window sized to the exact need changes outputs and waits for a
+    re-record of the goldens.
     """
-    if a.seed.is_zero:
-        return True
-    top = a.modulus.threshold(precision)
-    return not any(
-        max(-a.max_in_exp, w.hi - e.in_exp) < min(top, w.hi - e.out_exp)
-        for e in a.seed.entries
-    )
+    return all(a.seed_auto.needs([k], w.hi)[0] <= w.hi
+               for k in a.modulus.visible(-a.max_in_exp, precision))
 
 
 def find_fixed_point(
@@ -624,8 +619,11 @@ def find_fixed_point(
     The policy window's floor covers every generator depth and its top
     covers the precision, so on it neither the chain nor the witness
     raises WindowTooNarrow, and the certificate's reads are the only
-    source of InsufficientPrecision; nothing is retried.
+    source of InsufficientPrecision; nothing is retried.  A precision
+    below 1 is a ValueError, raised before any elimination.
     """
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
     w = window
     if w is None:
         w = default_window(a, precision, l_max)

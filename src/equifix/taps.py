@@ -226,6 +226,11 @@ class ContractionModulus:
             return None
         return prec - self.min_out
 
+    def visible(self, first: int, prec: int) -> range:
+        """The k from first up to threshold(prec): the g_k that can act mod
+        t^prec.  The infinite modulus has none: range(first, first)."""
+        return range(first, first if self.is_infinite else self.threshold(prec))
+
 
 def derive_modulus(n: SparsePerturbation) -> ContractionModulus:
     return ContractionModulus(n.min_out_exp)
@@ -337,23 +342,30 @@ class SeedAutomorphism:
         case of apply_steps."""
         return self.apply_steps(v, [k], v.prec if out_prec is None else out_prec)
 
+    def needs(self, steps: list[int], out_prec: int) -> list[int]:
+        """Walked backward, the precision g_{k_m} ... g_{k_1} mod t^out_prec
+        needs after each step: entry i for the state after i steps, so entry
+        0 is what v must be known to and entry m is out_prec.  A step needs
+        what the next one does, raised past each input its taps writing
+        below that read (a seed may read above where it writes)."""
+        needs = [out_prec]
+        for k in reversed(steps):
+            needs.append(max([needs[-1]] + [e.in_exp + k + 1 for e in self.perturbation.entries
+                                            if e.out_exp + k < needs[-1]]))
+        return needs[::-1]
+
     def apply_steps(self, v: SeriesVector, steps: list[int], out_prec: int) -> SeriesVector:
         """g_{k_m} ... g_{k_1}(v) mod t^out_prec on per-component term dicts,
         each output component built once.
 
-        Walked backward first, step i runs mod t^need_i: the precision the
-        later steps read, raised past each input its taps writing below it
-        read (a seed may read above where it writes).  Each step takes its
-        writes from the state the previous step left, never from its own;
-        terms at or past a step's need are never read again."""
+        The state after i steps is exact mod t^needs(steps, out_prec)[i].
+        Each step takes its writes from the state the previous step left,
+        never from its own; terms at or past a step's need are never read
+        again."""
         n = self.perturbation
         if v.p != n.p or v.d != n.d:
             raise DimensionMismatch("vector and automorphism are incompatible")
-        needs = [out_prec]
-        for k in reversed(steps):
-            need = needs[-1]
-            needs.append(max([need] + [e.in_exp + k + 1 for e in n.entries if e.out_exp + k < need]))
-        needs.reverse()
+        needs = self.needs(steps, out_prec)
         if v.prec < needs[0]:
             raise InsufficientPrecision(
                 f"operand known mod t^{v.prec}; the factors of phi mod t^{out_prec} "

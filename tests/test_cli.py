@@ -786,6 +786,26 @@ def test_nonpositive_precision_is_parse_error(tmp_path, capsys):
     assert "precision must be >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "invariant-chain"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_l_max_beyond_the_exponent_cap_is_limit_exceeded(tmp_path, capsys, command, how):
+    """The chain depth is capped like a tap exponent: the reader refuses it
+    before any generator or modulus table is built."""
+    cfg = family_config(tmp_path, capsys, "tap")
+    flags = ["--window=-3:4"] if command == "invariant-chain" else []
+    if how == "flag":
+        flags += ["--l-max", "1000001"]
+    else:
+        cfg.write_text(cfg.read_text().replace("l_max: 3", "l_max: 1000001"))
+    rpt = tmp_path / "deep.json"
+    code, out, err = run(capsys, command, "--config", str(cfg), *flags, "--json", str(rpt))
+    assert code == 1 and out == ""
+    assert "limit-exceeded: l_max 1000001 beyond 1000000" in err
+    report = load_report(rpt)
+    assert (report["status"], report["reason"]) == ("validation-failure", "limit-exceeded")
+    assert report["result"] == {"message": "l_max 1000001 beyond 1000000"}
+
+
 # ---------------------------------------------------------------- determinism
 
 

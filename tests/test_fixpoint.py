@@ -40,7 +40,7 @@ from equifix.fixpoint import (
     widen_window,
     window_b_image,
 )
-from equifix.laurent import LatticeWindow, format_vector, parse_series
+from equifix.laurent import LatticeWindow, LaurentSeries, format_vector, parse_series, random_vector
 from equifix.linalg import FpMatrix, Subspace, inverse, map_image, map_preimage
 from equifix.oracle import brute_max_invariant
 from equifix.replab import dichotomy_probe
@@ -466,6 +466,41 @@ def test_witness_requested_precision_validated():
     chain = m_ell_chain(a, 2, LatticeWindow(0, 2, d=2, p=2))
     with pytest.raises(WindowTooNarrow):
         extract_witness(a, chain, precision=5)
+
+
+@pytest.mark.parametrize("precision", [0, -3])
+def test_witness_precision_below_one_is_a_value_error(precision):
+    a = mk_action(*TAP)
+    chain = m_ell_chain(a, 3, LatticeWindow(-3, 4, d=2, p=2))
+    with pytest.raises(ValueError) as info:
+        extract_witness(a, chain, precision)
+    assert type(info.value) is ValueError and str(info.value) == "precision must be >= 1"
+
+
+@pytest.mark.parametrize("window", [None, LatticeWindow(-3, 4, d=2, p=2)])
+def test_find_fixed_point_precision_below_one_fails_before_the_chain(monkeypatch, window):
+    import equifix.fixpoint
+
+    def no_chain(*args):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(equifix.fixpoint, "m_ell_chain", no_chain)
+    with pytest.raises(ValueError) as info:
+        find_fixed_point(mk_action(*TAP), 0, 3, window=window)
+    assert type(info.value) is ValueError and str(info.value) == "precision must be >= 1"
+
+
+def test_default_precision_suggestion_widens_until_it_is_at_least_one():
+    """On [-4, 1) the default precision hi - drop is 1 - 2 = -1; one widening
+    gives [-8, 2) and precision 0, so the suggestion widens again, to
+    [-16, 4), where the witness is certified mod t^2."""
+    a = mk_action(2, 2, [(1, 0, 2, -2, 1)])
+    with pytest.raises(WindowTooNarrow) as info:
+        extract_witness(a, m_ell_chain(a, 2, LatticeWindow(-4, 1, d=2, p=2)))
+    assert str(info.value) == "precision -1 not representable on window [-4,1)"
+    assert info.value.suggestion == "retry with window [-16,4)"
+    cert = extract_witness(a, m_ell_chain(a, 2, LatticeWindow(-16, 4, d=2, p=2)))
+    assert cert.ok and cert.precision == 2
 
 
 # ---------------------------------------------------------------- find_fixed
@@ -1157,6 +1192,107 @@ def _certificate_reads(a, precision, w):
         max(-a.max_in_exp, w.hi - e.in_exp) < min(top, precision - e.out_exp)
         for e in a.seed.entries
     )
+
+
+def _reads_fit_per_tap(a, precision, w):
+    """The window test as a per-tap formula: tap e of the certificate's g_k,
+    k in [-max_in_exp, threshold(precision)), fails for hi - e.in_exp <= k
+    < hi - e.out_exp."""
+    if a.seed.is_zero:
+        return True
+    top = a.modulus.threshold(precision)
+    return not any(
+        max(-a.max_in_exp, w.hi - e.in_exp) < min(top, w.hi - e.out_exp)
+        for e in a.seed.entries
+    )
+
+
+def test_certificate_reads_fit_matches_the_per_tap_formula():
+    """_certificate_reads_fit, which asks SeedAutomorphism.needs for each
+    visible g_k, agrees with the per-tap formula on policy, doubled and
+    explicit windows of 1000 seeded actions and of the trivial action."""
+    from equifix.fixpoint import _certificate_reads_fit
+
+    rng = random.Random(2323)
+    actions = [mk_action(*TRIVIAL), mk_action(2, 3, [])]
+    actions += [random_valid_action(rng, (2, 3, 5)[i % 3], rng.randint(2, 4), exp_lo=-3, exp_hi=3)
+                for i in range(1000)]
+    verdicts = {True: 0, False: 0}
+    for a in actions:
+        precision, l_max = rng.randint(1, 4), rng.randint(0, 3)
+        policy = default_window(a, precision, l_max)
+        lo = rng.randint(-8, 0)
+        explicit = LatticeWindow(lo, rng.randint(lo + 1, 8), d=a.d, p=a.p)
+        for w in (policy, widen_window(policy), explicit):
+            fits = _certificate_reads_fit(a, precision, w)
+            assert fits == _reads_fit_per_tap(a, precision, w), (a, precision, w)
+            verdicts[fits] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def _moved_by_apply_phi(a, v, n):
+    """(k, g_k(v) mod t^n) for the certificate's k, each g_k evaluated as
+    the one-factor phi of the monomial t^k by apply_phi."""
+    if a.seed.is_zero:
+        return []
+    threshold = a.modulus.threshold(n)
+    return [
+        (k, apply_phi(a, LaurentSeries.t_power(a.p, k, prec=max(k + 1, threshold)), v,
+                      out_prec=n))
+        for k in range(-a.max_in_exp, threshold)
+    ]
+
+
+def test_checked_generators_match_the_apply_phi_route(monkeypatch):
+    """extract_witness applies each visible g_k to the lifted witness
+    directly; the t_power + apply_phi route gives the same checks, and the
+    same InsufficientPrecision where the lifted witness is too short.  On
+    random vectors, which the g_k move, the two routes give the same
+    images."""
+    import equifix.fixpoint
+
+    lifts = []
+
+    def recording_coords_to_vector(row, w):
+        lifts.append(real(row, w))
+        return lifts[-1]
+
+    real = equifix.fixpoint.coords_to_vector
+    monkeypatch.setattr(equifix.fixpoint, "coords_to_vector", recording_coords_to_vector)
+    rng = random.Random(77)
+    cases = [(mk_action(*fam), 4, 3) for fam in FAMILIES.values()]
+    cases += [(random_valid_action(rng, (2, 3, 5)[i % 3], rng.randint(2, 3), exp_lo=-3,
+                                   exp_hi=3), rng.randint(1, 4), rng.randint(0, 3))
+              for i in range(150)]
+    seen = {"certified": 0, "short": 0, "checks": 0, "moved": 0}
+    for a, precision, l_max in cases:
+        policy = default_window(a, precision, l_max)
+        for w in (policy, widen_window(policy)):
+            chain = _outcome(m_ell_chain, a, l_max, w)
+            if isinstance(chain, EquifixError):
+                continue
+            lifts.clear()
+            cert = _outcome(extract_witness, a, chain, precision)
+            if not lifts:  # no witness was picked
+                continue
+            (lifted,) = lifts
+            witness = lifted.truncate(precision)
+            expected = _outcome(_moved_by_apply_phi, a, lifted, precision)
+            if isinstance(cert, EquifixError):
+                assert isinstance(cert, InsufficientPrecision)
+                assert (type(cert), str(cert)) == (type(expected), str(expected))
+                seen["short"] += 1
+                continue
+            assert cert.checked_generators == tuple((k, m == witness) for k, m in expected)
+            seen["certified"] += 1
+            seen["checks"] += len(expected)
+            u = random_vector(rng, a.p, a.d, prec=w.hi, min_val=w.lo)
+            moved = [(k, a.seed_auto.apply(u, k, precision))
+                     for k in a.modulus.visible(-a.max_in_exp, precision)]
+            assert moved == _moved_by_apply_phi(a, u, precision)
+            seen["moved"] += sum(m != u.truncate(precision) for _, m in moved)
+    assert seen["certified"] >= 100 and seen["short"] >= 5, seen
+    assert seen["checks"] >= 500 and seen["moved"] >= 100, seen
 
 
 def test_window_choice_matches_the_two_attempt_route():

@@ -255,6 +255,33 @@ def test_modulus_of_empty_seed_is_infinite():
     assert m.is_infinite and m.threshold(4) is None
 
 
+def test_visible_is_the_range_below_the_threshold():
+    """visible(first, prec) is range(first, threshold(prec)) for a finite
+    modulus, and for the infinite one empty, stopping at first."""
+    infinite = ContractionModulus(None)
+    for first in range(-6, 7):
+        for prec in range(-4, 9):
+            for min_out in (-3, -1, 0, 2, 5):
+                m = ContractionModulus(min_out)
+                ks = m.visible(first, prec)
+                assert (ks.start, ks.stop, ks.step) == (first, m.threshold(prec), 1)
+            ks = infinite.visible(first, prec)
+            assert (ks.start, ks.stop) == (first, first) and not ks
+
+
+def test_needs_walks_the_steps_backward():
+    """A seed reading two above where it writes: g_k mod t^1 reads t^(2+k)
+    when it writes t^k below 1, and a later step's need raises an earlier
+    step's."""
+    g = SeedAutomorphism(pert(2, 2, (1, 2, 2, 0, 1)))
+    assert g.needs([], 4) == [4]
+    assert g.needs([0], 4) == [4, 4]
+    assert g.needs([0], 1) == [3, 1]
+    assert g.needs([1], 1) == [1, 1]
+    assert g.needs([-1, 0], 1) == [3, 3, 1]
+    assert g.needs([0, -1], 1) == [3, 2, 1]
+
+
 # ---------------------------------------------------------------- inverse
 
 
