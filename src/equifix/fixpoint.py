@@ -22,7 +22,11 @@ The pipeline realized here, all in exact window coordinates:
      from scratch by applying the action to the lifted series vector.
   3. Package the shifted copies t^-n * m_hat as a nested chain of
      subspaces in a quotient, ready for the representation-theoretic
-     growth probe (replab.dichotomy_probe).
+     growth probe (replab.dichotomy_probe).  Each copy, like t * m_hat
+     in step 2, is read off m_hat's canonical basis (_shifted): only the
+     rows whose pivot leaves the window are eliminated.  Every
+     generator's quotient checks and induced matrix come from one
+     product per basis, with all generators side by side.
 
 Window arithmetic convention: a vector of window coordinates stands for
 the canonical representative supported on exponents [lo, hi).  Reads
@@ -42,7 +46,6 @@ from .errors import (
     ChainInvariantViolation,
     DimensionMismatch,
     EmptyFixedSpace,
-    InvalidQuotient,
     LimitExceeded,
     LMaxTooSmall,
     SingularGenerator,
@@ -88,6 +91,29 @@ def _shift(rows: np.ndarray, src: LatticeWindow, dst: LatticeWindow, n: int) -> 
         blocks = rows.reshape(rows.shape[0], src.d, src.width)
         out[:, :, lo + n - dst.lo : hi + n - dst.lo] = blocks[:, :, lo - src.lo : hi - src.lo]
     return out.reshape(rows.shape[0], dst.dim)
+
+
+def _shifted(space: Subspace, src: LatticeWindow, dst: LatticeWindow, n: int) -> Subspace:
+    """t^n * space in dst coordinates, read off the canonical basis of
+    space (src coordinates).
+
+    The shift maps the columns it keeps in order, so a row whose pivot
+    survives still leads there with a 1, and every row, its own pivot
+    dropped or not, is still zero at each other surviving pivot.  Only
+    the rows whose pivot leaves the window are eliminated, among
+    themselves; their RREF rows are zero at the surviving pivots and are
+    merged with the others by pivot (_merge).
+    """
+    p = space.p
+    rows = _shift(space.basis.a, src, dst, n)
+    comp, exp = np.divmod(space.pivots, src.width)
+    exp = exp + src.lo + n
+    kept = (dst.lo <= exp) & (exp < dst.hi)
+    pivots = comp[kept] * dst.width + exp[kept] - dst.lo
+    if not kept.all():
+        red = rref(FpMatrix._wrap(p, rows[~kept]))
+        rows, pivots = _merge(p, rows[kept], pivots, red.matrix.a[: red.rank], red.pivots)
+    return Subspace(p, dst.dim, FpMatrix._wrap(p, rows), pivots)
 
 
 def monomial_transfer(src: LatticeWindow, dst: LatticeWindow, n: int) -> FpMatrix:
@@ -222,15 +248,22 @@ class _SpinUp:
             return vecs
         red = rref(FpMatrix._wrap(p, vecs))
         new = red.matrix.a[: red.rank]
-        new_pivots = np.array(red.pivots, dtype=np.int64)
-        merged = np.vstack([self.rows, new])
-        hit = np.flatnonzero(self.rows[:, new_pivots].any(axis=1))
-        if hit.size:
-            merged[hit] = (self.rows[hit] - self.rows[np.ix_(hit, new_pivots)] @ new) % p
-        pivots = np.concatenate([self.pivots, new_pivots])
-        order = np.argsort(pivots)
-        self.rows, self.pivots = merged[order], pivots[order]
+        self.rows, self.pivots = _merge(p, self.rows, self.pivots, new, red.pivots)
         return new
+
+
+def _merge(p: int, rows: np.ndarray, pivots: np.ndarray, new: np.ndarray, new_pivots):
+    """Canonical RREF rows and pivots of span(rows) + span(new), where both
+    are RREF and new is zero on the pivot columns of rows: clear new's
+    pivot columns from rows with one product and sort all rows by pivot."""
+    new_pivots = np.array(new_pivots, dtype=np.int64)
+    merged = np.vstack([rows, new])
+    hit = np.flatnonzero(rows[:, new_pivots].any(axis=1))
+    if hit.size:
+        merged[hit] = (rows[hit] - rows[np.ix_(hit, new_pivots)] @ new) % p
+    pivots = np.concatenate([pivots, new_pivots])
+    order = np.argsort(pivots)
+    return merged[order], pivots[order]
 
 
 def max_invariant_subspace(gens, ambient: LatticeWindow, b_image: Subspace) -> Subspace:
@@ -471,7 +504,7 @@ def extract_witness(a: Action, chain: InvariantChain, precision: int | None = No
             f"no nonzero fixed vectors inside m_hat on window [{w.lo},{w.hi})",
             suggestion=_retry_suggestion(w, " or larger l_max"),
         )
-    t_m_hat = Subspace.from_rows(w.p, w.dim, _shift(chain.m_hat.basis.a, w, w, 1))
+    t_m_hat = _shifted(chain.m_hat, w, w, 1)
     rows = meet.basis.a
     # Row i lies in t*m_hat iff it equals its combination of t*m_hat's
     # canonical basis read off at the pivots (Subspace.spans, per row).
@@ -531,6 +564,18 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
     The copies are compared on a sub-window cut below the top so that
     every t^-n shift of m_hat is represented faithfully; the acting
     generators are the finitely many that move something there.
+
+    Each copy is read off m_hat's canonical basis (_shifted), and the
+    nesting of the copies is Subspace.contains.  The steps of
+    QuotientSpace.induced run for every generator at once: one product
+    of the ambient's basis and one of the modded's with all generators
+    side by side give both invariance checks, and one more, of the coset
+    basis, projected in one batch, gives every induced matrix.  A
+    generator that fails a check raises ChainInvariantViolation naming
+    the first such t^k, and the ambient's check before the modded's, as
+    a generator-by-generator loop would.  What is eliminated: the rows
+    of each copy whose pivot leaves the sub-window, the quotient, and
+    each nested image.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -545,28 +590,41 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
             f"window floor {w.lo} too high for t^-{n_max} shifts (need <= {-n_max - a.max_in_exp})"
         )
     wp = LatticeWindow(w.lo, h_cut, a.d, a.p)
-    copies = [
-        Subspace.from_rows(a.p, wp.dim, _shift(chain.m_hat.basis.a, w, wp, -n))
-        for n in range(n_max + 1)
-    ]
+    copies = [_shifted(chain.m_hat, w, wp, -n) for n in range(n_max + 1)]
     for n in range(n_max):
         if not copies[n + 1].contains(copies[n]):
             raise ChainInvariantViolation(f"t^-{n} copy is not inside the t^-{n + 1} copy")
     q = quotient(copies[n_max], copies[0])
-    ident = FpMatrix.identity(a.p, q.dim)
-    gens = []
-    for k, mat in generator_matrices(a, max(0, n_max + a.max_in_exp), wp):
-        try:
-            induced = q.induced(mat)
-        except InvalidQuotient as exc:
-            raise ChainInvariantViolation(
-                f"generator at t^{k} does not preserve the shifted chain: {exc}"
-            ) from exc
-        if induced != ident:
-            gens.append(induced)
-    rep = FiniteRep(a.p, q.dim, gens, label=a.spec.label or "lemma-chain")
+    p, dim = a.p, wp.dim
+    gens = generator_matrices(a, max(0, n_max + a.max_in_exp), wp)
+    # Every generator side by side: basis @ stack holds a basis's images
+    # under each generator in turn, one block of rows per generator.
+    stack = np.hstack([np.zeros((dim, 0), dtype=np.int64), *(m.a.T for _, m in gens)])
+
+    def images(basis: np.ndarray) -> np.ndarray:
+        return (basis @ stack % p).reshape(len(basis), len(gens), dim).swapaxes(0, 1)
+
+    def moved(space: Subspace) -> np.ndarray:
+        """Which generators map some basis row of space out of space."""
+        imgs = images(space.basis.a)
+        return ((imgs - imgs[:, :, space.pivots] @ space.basis.a) % p).any(axis=(1, 2))
+
+    # q.induced's two checks, the ambient's before the modded's, for the
+    # first generator that fails either.
+    ambient, modded = moved(q.ambient), moved(q.modded)
+    failing = np.flatnonzero(ambient | modded)
+    if failing.size:
+        i = failing[0]
+        raise ChainInvariantViolation(
+            f"generator at t^{gens[i][0]} does not preserve the shifted chain: map does not "
+            f"preserve the {'ambient' if ambient[i] else 'modded'} subspace"
+        )
+    induced = q.project(images(q.coset_basis.a).reshape(-1, dim)).reshape(len(gens), q.dim, q.dim)
+    ident = np.eye(q.dim, dtype=np.int64)
+    mats = [FpMatrix._wrap(p, m.T) for m in induced if (m != ident).any()]
+    rep = FiniteRep(p, q.dim, mats, label=a.spec.label or "lemma-chain")
     nested = tuple(
-        Subspace.from_rows(a.p, q.dim, q.project(copies[n].basis.a)) for n in range(1, n_max + 1)
+        Subspace.from_rows(p, q.dim, q.project(copies[n].basis.a)) for n in range(1, n_max + 1)
     )
     return LemmaChain(rep, nested, q, wp, n_max)
 

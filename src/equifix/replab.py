@@ -248,13 +248,20 @@ def dichotomy_probe(rep: FiniteRep, chain) -> GrowthReport:
     dim V_n^G >= dim V_n / p^r.  The chain must be strictly increasing
     and every member invariant under every generator.
 
-    Two layers of the whole space are built once: V^G, with constraint
-    rows C1, and S2 = {v : (g - id) v in V^G for every g}, the kernel of
-    the stacked C1 (g - id), with constraint rows C2.  V_n is invariant,
-    so (g - id) v lies in V_n^G exactly when it lies in V^G: the class
-    of v in V_n / V_n^G is fixed iff v is in S2.  Hence
-    dim V_n^G = dim (V_n cut by C1) and the quotient's fixed dimension is
-    dim (V_n cut by C2) - dim V_n^G, two cuts per member and no derived
+    Two layers of the whole space are cut out once: V^G = ker C1, C1 the
+    RREF rows of the stacked g - id, and S2 = {v : (g - id) v in V^G for
+    every g} = ker C2, C2 the stack of the C1 (g - id).  V_n is
+    invariant, so (g - id) v lies in V_n^G exactly when it lies in V^G:
+    the class of v in V_n / V_n^G is fixed iff v is in S2.  Hence
+    dim V_n^G = dim V_n - rank(C1 F_n^T) and the quotient's fixed
+    dimension is rank(C1 F_n^T) - rank(C2 F_n^T), with F_n any basis of
+    V_n.  One flag-adapted basis F serves every member: V_1's canonical
+    basis, then the rows of each V_n whose pivot is not a pivot of
+    V_{n-1}.  The pivots of V_{n-1} are pivots of V_n, and the rows so
+    far lead at distinct columns, so the first dim V_n rows of F are a
+    basis of V_n; and the rank of the first dim V_n columns of C F^T is
+    the number of pivots of its RREF among them.  Three eliminations in
+    all, whatever r and the number of members, and no derived
     representation.
     """
     members = list(chain)
@@ -266,24 +273,39 @@ def dichotomy_probe(rep: FiniteRep, chain) -> GrowthReport:
             if not v.contains(prev) or v.dim <= prev.dim:
                 raise ChainInvariantViolation("chain is not strictly nested")
         prev = v
-    p = rep.p
+    p, dim = rep.p, rep.dim
+    empty = np.zeros((0, dim), dtype=np.int64)  # so that a stack of no blocks has dim columns
+    # Every generator side by side: v's basis times stack holds its images
+    # under each generator in turn, and one read-off checks them all.
+    stack = np.hstack([empty.T, *(g.a.T for g in rep.generators)])
+    flag, seen = [empty], np.zeros(dim, dtype=bool)
     for v in members:
-        for g in rep.generators:
-            if not v.spans(v.basis.a @ g.a.T % p):
-                raise ChainInvariantViolation("subspace is not invariant under a generator")
-    c1 = fixed_space(rep).constraints().a
-    ident = np.eye(rep.dim, dtype=np.int64)
-    moved = np.array([c1 @ (g.a - ident) % p for g in rep.generators], dtype=np.int64)
-    c2 = kernel(FpMatrix._wrap(p, moved.reshape(rep.r * len(c1), rep.dim))).constraints().a
+        if not v.spans((v.basis.a @ stack % p).reshape(-1, dim)):
+            raise ChainInvariantViolation("subspace is not invariant under a generator")
+        flag.append(v.basis.a[~seen[v.pivots]])
+        seen[v.pivots] = True
+    flag = np.vstack(flag)
+    moved = [(g.a - np.eye(dim, dtype=np.int64)) % p for g in rep.generators]
+    red = rref(FpMatrix._wrap(p, np.vstack([empty, *moved])))
+    c1 = red.matrix.a[: red.rank]
+    c2 = np.vstack([empty, *(c1 @ m % p for m in moved)])
+    ranks = [_prefix_ranks(p, c @ flag.T % p, [v.dim for v in members]) for c in (c1, c2)]
     rows = []
     all_ok = True
-    for n, v in enumerate(members, start=1):
-        fixed = v.cut(c1).dim
+    for n, (v, r1, r2) in enumerate(zip(members, *ranks), start=1):
+        fixed = v.dim - r1
         bound = Fraction(v.dim, p**rep.r)
         ok = fixed >= bound
         all_ok = all_ok and ok
-        rows.append(GrowthRow(n, v.dim, fixed, v.cut(c2).dim - fixed, bound, ok))
+        rows.append(GrowthRow(n, v.dim, fixed, r1 - r2, bound, ok))
     return GrowthReport(tuple(rows), all_ok)
+
+
+def _prefix_ranks(p: int, m: np.ndarray, widths) -> list[int]:
+    """Rank of the first w columns of m, for each w in widths, off one
+    RREF: the pivots of m's RREF that fall among those columns."""
+    pivots = np.array(rref(FpMatrix._wrap(p, m)).pivots, dtype=np.int64)
+    return [int((pivots < w).sum()) for w in widths]
 
 
 def _random_invertible(rng, p: int, n: int) -> FpMatrix:

@@ -22,6 +22,7 @@ from equifix.errors import (
     EmptyFixedSpace,
     EquifixError,
     InsufficientPrecision,
+    InvalidQuotient,
     LMaxTooSmall,
     SingularGenerator,
     WindowTooNarrow,
@@ -668,19 +669,136 @@ def test_chain_eliminations_stay_within_the_read_off_budget(monkeypatch):
 
 
 def test_lemma_chain_and_probe_stay_within_the_read_off_budget(monkeypatch):
-    """Each shifted copy of m_hat (4) and each nested image (3) is one
-    elimination and the quotient one more; the probe takes a cut per
-    generator (3) for V^G, one elimination each for its constraints, the
-    second layer and that layer's constraints, and two cuts per member:
-    20 rref calls, 29 when the probe derived two representations per
-    member and 115 with a greedy transversal and per-vector coordinates."""
+    """The shifted copies of m_hat are read off its canonical basis, and
+    only the rows whose pivot leaves the sub-window are eliminated: 3 of
+    the 4 copies lose some.  Each nested image (3) is one elimination and
+    the quotient one more; the probe makes 3 (the stacked g - id, and one
+    per layer on the flag-adapted basis): 10 rref calls.  It was 20 with
+    every copy eliminated and two cuts per member in the probe, 29 when
+    the probe derived two representations per member and 115 with a
+    greedy transversal and per-vector coordinates."""
     a = mk_action(*CHAIN3)
     chain = m_ell_chain(a, 3, default_window(a, 4, 3, n_max=3))
     shapes = _recording_rref(monkeypatch)
     lc = lemma_chain_from_action(a, chain, 3)
     probe = dichotomy_probe(lc.rep, lc.nested)
     assert lc.rep.r == 3 and [row.total_dim for row in probe.rows] == [3, 6, 9]
-    assert len(shapes) <= 20
+    assert len(shapes) <= 10
+
+
+def _random_rref_space(rng, p, n):
+    """A canonical subspace of F_p^n from random rows, each zero before a
+    random column so that pivots spread over the whole window; now and
+    then the zero or the full space."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Subspace.zero(p, n)
+    if kind < 0.2:
+        return Subspace.full(p, n)
+    rows = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, n))])
+    for row in rows:
+        row[: rng.randrange(n)] = 0
+    return Subspace.from_rows(p, n, rows)
+
+
+def test_shifted_matches_from_rows_of_the_shifted_rows():
+    """_shifted reads t^n * space off the canonical basis of space and
+    eliminates only the rows whose pivot leaves dst; from_rows of the
+    shifted rows eliminates them all.  The windows drop columns at the
+    bottom, at the top, at both ends or nowhere."""
+    from equifix.fixpoint import _shift, _shifted
+
+    rng = random.Random(24)
+    drops, eliminated, kinds = set(), 0, set()
+    for trial in range(1200):
+        p = [2, 3, 5, 7][trial % 4]
+        d = rng.randint(1, 3)
+        src = LatticeWindow(-rng.randint(0, 3), rng.randint(1, 4), d, p)
+        dst = LatticeWindow(-rng.randint(0, 3), rng.randint(1, 4), d, p)
+        n = rng.randint(-4, 4)
+        space = _random_rref_space(rng, p, src.dim)
+        shifted = _shift(space.basis.a, src, dst, n)
+        got = _shifted(space, src, dst, n)
+        expect = Subspace.from_rows(p, dst.dim, shifted)
+        assert got == expect
+        assert got.pivots.tolist() == expect.pivots.tolist()
+        assert got.pivots.dtype == np.int64 and not got.pivots.flags.writeable
+        drops.add((src.lo + n < dst.lo, src.hi + n > dst.hi))
+        eliminated += not np.array_equal(shifted, expect.basis.a)
+        kinds.add("zero" if space.dim == 0 else "full" if space.dim == src.dim else "proper")
+    assert drops == {(False, False), (True, False), (False, True), (True, True)}
+    assert kinds == {"zero", "full", "proper"} and eliminated > 100
+
+
+def test_t_m_hat_and_the_lemma_copies_are_the_shifted_rows_eliminated():
+    """The two callers of _shifted build what from_rows of the shifted
+    rows of m_hat builds, on the bundled families."""
+    from equifix.fixpoint import _shift, _shifted
+
+    for name, family in FAMILIES.items():
+        a = mk_action(*family)
+        for n_max in (1, 3, 6):
+            w = default_window(a, n_max + 2, 3, n_max=n_max)
+            m_hat = m_ell_chain(a, 3, w).m_hat
+            wp = LatticeWindow(w.lo, w.hi - n_max, a.d, a.p)
+            for src, dst, n in [(w, w, 1)] + [(w, wp, -k) for k in range(n_max + 1)]:
+                expect = Subspace.from_rows(a.p, dst.dim, _shift(m_hat.basis.a, src, dst, n))
+                got = _shifted(m_hat, src, dst, n)
+                assert got == expect and got.pivots.tolist() == expect.pivots.tolist(), name
+
+
+def _induced_route_message(q, gens):
+    """The message of the per-generator route lemma_chain_from_action
+    replaced: QuotientSpace.induced on each generator in turn."""
+    for k, m in gens:
+        try:
+            q.induced(m)
+        except InvalidQuotient as exc:
+            return f"generator at t^{k} does not preserve the shifted chain: {exc}"
+    return None
+
+
+def test_a_generator_breaking_the_shifted_chain_is_named_like_the_induced_route(monkeypatch):
+    """Every generator's checks run in one product, and the failure still
+    names the first failing t^k with the check it failed, the ambient's
+    before the modded's."""
+    import equifix.fixpoint
+
+    a = mk_action(*CHAIN3)
+    n_max = 3
+    # A floor below the deepest copy's, so that some vector leaves the ambient.
+    chain = m_ell_chain(a, 5, default_window(a, 4, 5, n_max=n_max))
+    lc = lemma_chain_from_action(a, chain, n_max)
+    q, n = lc.space, lc.window.dim
+    gens = generator_matrices(a, n_max + a.max_in_exp, lc.window)
+    assert len(gens) >= 4 and _induced_route_message(q, gens) is None
+    ambient, modded, e = q.ambient, q.modded, np.eye(n, dtype=np.int64)
+    # I + x y^T with x in the ambient and outside the modded, y the unit
+    # functional at a modded pivot: the ambient is kept, the modded is not.
+    keeps_ambient = e + np.outer(q.coset_basis.a[0], e[modded.pivots[0]])
+    # I + z y^T with z a unit vector outside the ambient and y as above:
+    # both are left, and the ambient's check is the one named.
+    outside = next(i for i in range(n) if not ambient.contains_vector(e[i]))
+    leaves_ambient = e + np.outer(e[outside], e[modded.pivots[0]])
+    assert not modded.spans(modded.basis.a @ leaves_ambient.T % a.p)
+    with pytest.raises(InvalidQuotient, match="modded"):
+        q.induced(FpMatrix(a.p, keeps_ambient))
+    with pytest.raises(InvalidQuotient, match="ambient"):
+        q.induced(FpMatrix(a.p, leaves_ambient))
+    cases = {
+        "modded first": {1: keeps_ambient, 2: leaves_ambient},
+        "ambient first": {1: leaves_ambient, 3: keeps_ambient},
+        "last only": {len(gens) - 1: keeps_ambient},
+    }
+    for name, swaps in cases.items():
+        patched = [(k, FpMatrix(a.p, swaps[i]) if i in swaps else m) for i, (k, m) in enumerate(gens)]
+        expect = _induced_route_message(q, patched)
+        k = gens[min(swaps)][0]
+        assert expect.startswith(f"generator at t^{k} does not preserve"), name
+        monkeypatch.setattr(equifix.fixpoint, "generator_matrices", lambda *args: patched)
+        with pytest.raises(ChainInvariantViolation) as info:
+            lemma_chain_from_action(a, chain, n_max)
+        assert str(info.value) == expect, name
 
 
 # ------------------------------------------------- generator checks and guards
@@ -741,8 +859,11 @@ def test_dimension_mismatch_is_raised_before_singular_generator():
 
 
 def _recording_rref(monkeypatch):
+    """Record the shape of every rref call, as the name is bound in
+    linalg, fixpoint and replab."""
     import equifix.fixpoint
     import equifix.linalg
+    import equifix.replab
 
     real = equifix.linalg.rref
     shapes = []
@@ -753,6 +874,7 @@ def _recording_rref(monkeypatch):
 
     monkeypatch.setattr(equifix.linalg, "rref", recording_rref)
     monkeypatch.setattr(equifix.fixpoint, "rref", recording_rref)
+    monkeypatch.setattr(equifix.replab, "rref", recording_rref)
     return shapes
 
 

@@ -429,6 +429,89 @@ def test_probe_matches_the_per_member_reference_on_random_reps():
     assert len(seen) >= 3
 
 
+def closure(rep, rows):
+    """The smallest invariant subspace containing the rows."""
+    space = Subspace.from_rows(rep.p, rep.dim, rows)
+    while True:
+        images = [space.basis.a @ g.a.T % rep.p for g in rep.generators]
+        grown = Subspace.from_rows(rep.p, rep.dim, np.vstack([space.basis.a, *images]))
+        if grown == space:
+            return space
+        space = grown
+
+
+def random_invariant_flag(rng, rep):
+    """A strictly nested chain of invariant subspaces, each the closure of
+    the last and one random vector: sometimes empty, sometimes from {0},
+    and stopping at random before the whole space."""
+    p, dim = rep.p, rep.dim
+    chain = [Subspace.zero(p, dim)] if rng.random() < 0.3 else []
+    rows = np.zeros((0, dim), dtype=np.int64)
+    while rng.random() < 0.8 and (not chain or chain[-1].dim < dim):
+        vec = [rng.randrange(p) for _ in range(dim)]
+        member = closure(rep, np.vstack([rows, vec]))
+        if not chain or member.dim > chain[-1].dim:
+            chain.append(member)
+            rows = member.basis.a
+    return chain
+
+
+def test_probe_matches_the_reference_on_random_invariant_flags():
+    """The flag-adapted read-off agrees with restricting to each member,
+    including the empty chain, a zero first member, a single member and
+    no generators at all."""
+    rng = random.Random(24)
+    seen = set()
+    for trial in range(240):
+        p = [2, 3, 5, 7][trial % 4]
+        rep = random_commuting_rep(rng, p, rng.randint(1, 8), rng.randint(0, 3))
+        chain = random_invariant_flag(rng, rep)
+        assert_probe_matches_reference(rep, chain)
+        seen.add(("members", min(len(chain), 2)))
+        seen.add(("r", min(rep.r, 1)))
+        if chain and chain[0].dim == 0:
+            seen.add("zero first")
+        seen.update(("quotient fixed", row.quotient_fixed_dim) for row in dichotomy_probe(rep, chain).rows)
+    assert {("members", 0), ("members", 1), ("members", 2), ("r", 0), ("r", 1), "zero first"} <= seen
+    assert ("quotient fixed", 2) in seen
+
+
+def test_probe_on_the_trivial_lemma_chain_has_no_acting_generator():
+    a = build_action(ActionSpec(p=2, d=1, seed=SparsePerturbation(2, 1, [])))
+    chain = m_ell_chain(a, 0, default_window(a, 5, 0, n_max=3))
+    lc = lemma_chain_from_action(a, chain, 3)
+    assert lc.rep.r == 0 and [v.dim for v in lc.nested] == [1, 2, 3]
+    assert_probe_matches_reference(lc.rep, lc.nested)
+
+
+def test_probe_rejects_a_random_noninvariant_member_like_the_reference():
+    """An invariant flag topped by the span of its last member and one more
+    random vector: the probe raises where the reference does, with the
+    same message, and agrees with it otherwise."""
+    rng = random.Random(25)
+    outcomes = set()
+    for trial in range(120):
+        p = [2, 3, 5][trial % 3]
+        rep = random_commuting_rep(rng, p, rng.randint(2, 7), rng.randint(1, 3))
+        chain = random_invariant_flag(rng, rep)
+        below = chain[-1].basis.a if chain else np.zeros((0, rep.dim), dtype=np.int64)
+        top = Subspace.from_rows(p, rep.dim, np.vstack([below, [rng.randrange(p) for _ in range(rep.dim)]]))
+        if chain and top.dim == chain[-1].dim:
+            continue
+        chain.append(top)
+        try:
+            expect = reference_probe_rows(rep, chain)
+        except ChainInvariantViolation as exc:
+            with pytest.raises(ChainInvariantViolation) as info:
+                dichotomy_probe(rep, chain)
+            assert str(info.value) == str(exc) == "subspace is not invariant under a generator"
+            outcomes.add("raised")
+        else:
+            assert dichotomy_probe(rep, chain).rows == expect
+            outcomes.add("agreed")
+    assert outcomes == {"raised", "agreed"}
+
+
 def test_probe_rejects_a_noninvariant_second_member_like_the_reference():
     rep = FiniteRep(2, 4, [blocks(2, 2, 2)])
     line = Subspace.from_rows(2, 4, [[1, 0, 0, 0]])
@@ -451,11 +534,16 @@ def test_probe_without_generators_has_no_quotient_fixed_part():
 
 
 def test_probe_eliminations_stay_within_the_two_layer_budget(monkeypatch):
-    """r cuts for V^G, its constraints, the second layer and its
-    constraints, then two cuts per member: r + 3 + 2 * members = 21 rref
-    calls on chain-3 at n_max 6 (r = 6, six members), 78 when each member
-    derived two representations.  No FiniteRep is built."""
+    """The RREF of the stacked g - id, then one elimination per layer on
+    the flag-adapted basis: 3 rref calls on chain-3 at n_max 6 (r = 6,
+    six members), whatever r and the number of members.  It was
+    r + 3 + 2 * members = 21 with r cuts for V^G, its constraints, the
+    second layer and its constraints and two cuts per member, and 78
+    when each member derived two representations.  rref is counted as
+    it is bound in linalg, fixpoint and replab.  No FiniteRep is built."""
+    import equifix.fixpoint
     import equifix.linalg
+    import equifix.replab
 
     lc = lemma_chain("chain-3", 6)
     members = len(lc.nested)
@@ -470,11 +558,12 @@ def test_probe_eliminations_stay_within_the_two_layer_budget(monkeypatch):
         reps.append(args)
         raise AssertionError("FiniteRep built")
 
-    monkeypatch.setattr(equifix.linalg, "rref", counting_rref)
+    for module in (equifix.linalg, equifix.fixpoint, equifix.replab):
+        monkeypatch.setattr(module, "rref", counting_rref)
     monkeypatch.setattr(FiniteRep, "__init__", refusing_init)
     report = dichotomy_probe(lc.rep, lc.nested)
     assert (lc.rep.r, members) == (6, 6) and report.ok
-    assert len(calls) <= lc.rep.r + 3 + 2 * members == 21
+    assert len(calls) <= 3
     assert reps == []
 
 
