@@ -25,7 +25,9 @@ MAX_PRIME = 97
 # final mod, and 512 * 96^2 < 2^63 holds whatever the row count.  That
 # int64 bound binds odd p only: over F_2 a product entry is at most
 # MAX_DIM, and rref eliminates on rows packed into Python ints, which
-# have no width limit.
+# have no width limit.  _mul forms a product in float64 instead, exact
+# while every partial sum, at most contraction * (p - 1)^2, stays below
+# 2^53: 512 * 96^2 < 2^23, far inside it.
 MAX_DIM = 512
 
 
@@ -44,6 +46,14 @@ def _check_space(p: int, n: int) -> None:
     check_prime(p)
     if n > MAX_DIM:
         raise LimitExceeded(f"dimension {n} beyond {MAX_DIM}")
+
+
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b over F_p for reduced int64 operands, as a reduced int64
+    array: one float64 matmul (numpy's int64 matmul does not use BLAS),
+    exact while a.shape[-1] * (p - 1)^2 < 2^53.  Stacked operands
+    broadcast as in matmul."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 def _inv_mod(a: int, p: int) -> int:

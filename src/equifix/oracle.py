@@ -67,8 +67,10 @@ def _span_table(p: int, rows) -> np.ndarray:
     Built one row's multiples at a time: once rows[:j] are in, block c of
     the next p^j rows is block c - 1 plus rows[j].  Entries stay below
     2p - 1 between reductions, so the table is as narrow as p allows.
-    Over F_2 the one block is the previous one xor rows[j], which needs
-    no reduction.
+    A reduction divides nothing: in unsigned bytes block - p wraps above
+    block exactly where block < p, so the smaller of the two is block
+    mod p.  Over F_2 the one block is the previous one xor rows[j], which
+    needs no reduction.
     """
     rows = np.asarray(rows) % p
     dtype = np.min_scalar_type(2 * (p - 1))
@@ -81,7 +83,7 @@ def _span_table(p: int, rows) -> np.ndarray:
             for c in range(1, p):
                 block = table[c * size:(c + 1) * size]
                 np.add(table[(c - 1) * size:c * size], row, out=block)
-                block %= p
+                np.minimum(block, block - p, out=block)
         size *= p
     return table
 
@@ -120,7 +122,8 @@ def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAUL
     """Common fixed vectors of the generators, by checking every vector.
 
     Row i of the span table of g's columns is g applied to vector i, so
-    the fixed set is where every generator's table equals the vectors.
+    the fixed set is where every generator's table equals the vectors,
+    compared a whole row at a time (each row viewed as one opaque value).
     The canonical basis is read off it: the pivots are the leading
     positions of its nonzero members, and row r is the member whose pivot
     coordinates are e_r (unique, since a member is fixed by its pivot
@@ -131,9 +134,13 @@ def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAUL
         raise BudgetExceeded(f"{total} vectors exceeds budget {budget.max_vectors}")
     # Row i spells i in base p, least significant digit first.
     vectors = _span_table(p, np.eye(dim, dtype=np.int64))
+    gens = _generator_arrays(p, dim, generators)
     mask = np.ones(total, dtype=bool)
-    for g in _generator_arrays(p, dim, generators):
-        mask &= (_span_table(p, g.T) == vectors).all(axis=1)
+    if dim:  # F_p^0 is the zero vector alone, and a void view needs a byte
+        row = np.dtype((np.void, dim))
+        keys = vectors.view(row)[:, 0]
+        for g in gens:
+            mask &= _span_table(p, g.T).view(row)[:, 0] == keys
     fixed = vectors[mask]
     pivots = np.unique(_leading(fixed[1:]))  # fixed[0] is the zero vector
     powers = p ** np.arange(len(pivots))

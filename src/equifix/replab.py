@@ -30,9 +30,9 @@ from .errors import (
 from .linalg import (
     FpMatrix,
     Subspace,
+    _mul,
     check_prime,
     inverse,
-    kernel,
     quotient,
     rref,
 )
@@ -62,7 +62,8 @@ class FiniteRep:
         if bad.any():
             raise NotOrderP(f"generator {bad.argmax()} does not satisfy g^p = id")
         for i in range(len(gens) - 1):
-            bad = (stack[i] @ stack[i + 1 :] % p != stack[i + 1 :] @ stack[i] % p).any(axis=(1, 2))
+            later = stack[i + 1 :]
+            bad = (_mul(stack[i], later, p) != _mul(later, stack[i], p)).any(axis=(1, 2))
             if bad.any():
                 j = i + 1 + int(bad.argmax())
                 raise NonCommuting(f"generators {i} and {j} do not commute", offsets=(i, j))
@@ -88,11 +89,11 @@ def _not_order_p(stack: np.ndarray, p: int) -> np.ndarray:
     power, e = None, p
     while True:
         if e & 1:
-            power = stack if power is None else power @ stack % p
+            power = stack if power is None else _mul(power, stack, p)
         e >>= 1
         if not e:
             return (power != np.eye(power.shape[-1], dtype=np.int64)).any(axis=(1, 2))
-        stack = stack @ stack % p
+        stack = _mul(stack, stack, p)
 
 
 def fixed_space(rep: FiniteRep) -> Subspace:
@@ -150,17 +151,32 @@ class FiltrationReport:
 
 
 def kernel_filtration(g: FpMatrix, p: int) -> FiltrationReport:
-    """Filtration of one order-p generator; errors if g^p != id."""
+    """Filtration of one order-p generator; errors if g^p != id.
+
+    With N = g - id, dim ker N^i = n - rank N^i, and the rows of N^i are
+    those of N^(i-1) times N, so the chain walks row spaces: independent
+    rows spanning N^(i-1)'s row space, times N, span N^i's.  Each step is
+    one rref of those rows transposed (its loop scans no more columns
+    than there are rows), whose pivot columns pick the independent rows.
+    No power of N and no kernel is formed.  In characteristic p,
+    N^p = g^p - id, so g^p = id exactly when the last rank is 0; once
+    the rank stops falling it stays put, so a nonzero rank that repeats
+    rejects g without the remaining steps.
+    """
     if g.p != p or g.rows != g.cols:
         raise DimensionMismatch("need a square matrix over F_p")
-    if _not_order_p(g.a[None], p)[0]:
+    n = g.rows
+    nil = rows = (g.a - np.eye(n, dtype=np.int64)) % p
+    dims = [0]
+    for _ in range(p):
+        rows = rows[list(rref(FpMatrix._wrap(p, rows.T)).pivots)]
+        dims.append(n - len(rows))
+        if dims[-1] == dims[-2] != n:  # the rank stopped falling above 0
+            break
+        rows = _mul(rows, nil, p)
+    if dims[-1] != n:
         raise NotOrderP("matrix does not satisfy g^p = id")
-    nil = power = g - FpMatrix.identity(p, g.rows)
-    dims = [0, kernel(nil).dim]
-    for _ in range(p - 1):
-        power = power @ nil
-        dims.append(kernel(power).dim)
-    return FiltrationReport(p, g.rows, tuple(dims))
+    return FiltrationReport(p, n, tuple(dims))
 
 
 @dataclass(frozen=True)

@@ -854,3 +854,25 @@ def test_subspaces_keep_the_pivots_of_their_basis(p):
     assert_pivots_kept(Subspace(p, 4, FpMatrix(p, [[0, 1, 0, 2], [0, 0, 1, 1]])))
     with pytest.raises(ValueError):
         subs[-1].pivots[...] = 0
+
+
+def test_mul_equals_the_int64_product_at_the_float64_edge():
+    """_mul forms the product in float64: every entry 96 at p = 97 and
+    contraction 2048 gives partial sums up to 2048 * 96^2, and the result
+    must equal int64's.  Those sums are multiples of 2^10, so random
+    entries from 90 to 96 at the same contraction, whose sums pass 2^24,
+    check the low bits too (float32 loses them).  Stacked operands broadcast as in matmul, and a 0-row
+    operand gives a 0-row product."""
+    from equifix.linalg import _mul
+
+    full = np.full((2048, 3), 96, dtype=np.int64)
+    assert np.array_equal(_mul(full.T, full, 97), full.T @ full % 97)
+    rng = np.random.default_rng(25)
+    wide, tall = rng.integers(90, 97, (4, 2048)), rng.integers(90, 97, (2048, 3))
+    assert np.array_equal(_mul(wide, tall, 97), wide @ tall % 97)
+    stack, m = rng.integers(0, 97, (5, 9, 9)), rng.integers(0, 97, (9, 9))
+    for a, b in [(stack, m), (m, stack), (stack, stack)]:
+        product = _mul(a, b, 97)
+        assert product.dtype == np.int64 and np.array_equal(product, a @ b % 97)
+    empty = _mul(np.zeros((0, 9), dtype=np.int64), m, 97)
+    assert empty.dtype == np.int64 and empty.shape == (0, 9)

@@ -412,3 +412,19 @@ def test_span_table_over_f2_matches_the_digit_sums(k):
     table = _span_table(2, rows)
     assert table.dtype == np.uint8
     assert np.array_equal(table, digits @ (rows % 2) % 2)
+
+
+@pytest.mark.parametrize("p,k", [(3, 0), (3, 7), (5, 5), (97, 2)])
+def test_span_table_over_odd_p_matches_the_digit_sums(p, k):
+    """Row i of the table is the sum of the rows picked by the base-p
+    digits of i, least significant first, reduced mod p by a conditional
+    subtraction.  Column 0 holds p - 1 in every row, so sums reach
+    2(p - 1), 192 at p = 97, where block - p wraps in a byte."""
+    from equifix.oracle import _span_table
+
+    rows = np.random.default_rng(k).integers(-200, 200, (k, 9))
+    rows[:, 0] = p - 1
+    digits = (np.arange(p**k)[:, None] // p ** np.arange(k)) % p
+    table = _span_table(p, rows)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, digits @ (rows % p) % p)

@@ -210,6 +210,63 @@ def test_filtration_laws_on_random_generators():
         assert rep.fixed_dim * p >= dim  # d(1) >= dim / p
 
 
+def _kernel_per_power_dims(g, p):
+    """The filtration the way it was first computed: N = g - id, then one
+    kernel per power N, N^2, .., N^p."""
+    nil = power = g - FpMatrix.identity(p, g.rows)
+    dims = [0, kernel(nil).dim]
+    for _ in range(p - 1):
+        power = power @ nil
+        dims.append(kernel(power).dim)
+    return tuple(dims)
+
+
+def test_filtration_matches_the_kernel_per_power_route(monkeypatch):
+    """The rank chain gives the dims of a kernel per power, on random
+    order-p matrices with n from 0 to 40 and on the identity, in exactly p
+    rref calls and no kernel per filtration (rref counted as it is bound
+    in linalg, fixpoint and replab, kernel as it is bound in linalg and,
+    if imported there, replab)."""
+    import equifix.linalg
+    import equifix.replab
+    from test_fixpoint import _recording_rref
+
+    rng = random.Random(25)
+    cases = []
+    for p in (2, 3, 5, 7):
+        cases.append((p, FpMatrix.identity(p, rng.randint(1, 40))))
+        cases.append((p, FpMatrix(p, np.zeros((0, 0), dtype=np.int64))))
+        cases += [(p, random_commuting_rep(rng, p, n, 1).generators[0]) for n in range(1, 41)]
+    expected = [_kernel_per_power_dims(g, p) for p, g in cases]
+    shapes = _recording_rref(monkeypatch)
+    kernels = []
+    real = equifix.linalg.kernel
+
+    def recording_kernel(m):
+        kernels.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(equifix.linalg, "kernel", recording_kernel)
+    monkeypatch.setattr(equifix.replab, "kernel", recording_kernel, raising=False)
+    for (p, g), dims in zip(cases, expected):
+        shapes.clear()
+        assert kernel_filtration(g, p).dims == dims
+        assert len(shapes) == p
+    assert kernels == []
+    assert sum(dims[1] < g.rows for (p, g), dims in zip(cases, expected)) > 140  # g != id
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_filtration_rejects_a_matrix_not_of_order_p(p):
+    """g^p = id is read off the chain's last rank: a Jordan block of size
+    p + 1 keeps (g - id)^p != 0, and c * I with c != 1 has g - id
+    invertible.  Both raise with the message of the g^p check."""
+    bad = [jordan(p, p + 1)] + [FpMatrix.identity(p, 3).scale(c) for c in range(p) if c != 1]
+    for g in bad:
+        with pytest.raises(NotOrderP, match=r"^matrix does not satisfy g\^p = id$"):
+            kernel_filtration(g, p)
+
+
 # ---------------------------------------------------------------- bound
 
 
