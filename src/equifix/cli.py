@@ -18,7 +18,9 @@ d below 1, a tap component outside 1..d, a seed that is not a list of
 such taps, a label that is not a string and a window without lo < hi
 are parse errors whose message names the key; a null seed or label
 means the empty default.  A tap exponent beyond ±MAX_EXPONENT (laurent)
-or an l_max above it is limit-exceeded.  The report of a rejected
+or an l_max above it is limit-exceeded, and so is a d above MAX_DIM
+(linalg): a window holds d coordinates per exponent, so no window of
+such an action fits the cap.  The report of a rejected
 config shows only values that passed their check.  Flags override
 config values.  Exit codes: 0 success, 1 validation failure, 2 soft
 failure (window, precision or l_max too small), 3 I/O or usage error.
@@ -58,7 +60,7 @@ from .fixpoint import (
     window_b_image,
 )
 from .laurent import MAX_EXPONENT, LatticeWindow, format_vector, random_series, random_vector
-from .linalg import FpMatrix
+from .linalg import MAX_DIM, FpMatrix
 from .oracle import brute_fixed, brute_max_invariant
 from .replab import dichotomy_probe, fixed_space
 from .taps import SparsePerturbation, TapEntry, induced_matrix
@@ -294,6 +296,8 @@ def _read_config(data: dict) -> tuple[ActionSpec, tuple[int, int] | None]:
             raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
         if key == "d" and value < 1:
             raise ValueError(f"config key 'd' must be at least 1, got {value}")
+        if key == "d" and value > MAX_DIM:
+            raise LimitExceeded(f"d {value} beyond {MAX_DIM}")
     seed = _optional(data, "seed", [])
     if not isinstance(seed, list):
         raise ValueError(f"config key 'seed' must be a list of taps, got {seed!r}")

@@ -6,8 +6,11 @@ on column vectors (``m @ v``).  Subspaces are stored as row spans in
 canonical reduced row echelon form, so two subspaces are equal exactly
 when their basis arrays are equal; each keeps the pivot columns of its
 basis.  Over F_2, rref eliminates on packed rows (one Python int per
-row, a row operation one XOR); its RREF is bit-identical to that of the
-int64 elimination, which odd p keep.
+row, a row operation one XOR); its RREF is bit-identical to that of an
+int64 elimination.  Over odd p, rref eliminates on int64 and reduces
+mod p only the pivot column and the pivot row of each step; no other
+entry is reduced before the end, which the growth bound at MAX_DIM
+makes exact.
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ MAX_PRIME = 97
 # MAX_DIM, and rref eliminates on rows packed into Python ints, which
 # have no width limit.  _mul forms a product in float64 instead, exact
 # while every partial sum, at most contraction * (p - 1)^2, stays below
-# 2^53: 512 * 96^2 < 2^23, far inside it.
+# 2^53: 512 * 96^2 < 2^23, far inside it.  The odd-p rref reduces no
+# entry before the end except its pivot columns and rows, and subtracts
+# one product of two reduced entries per step, so an entry stays within
+# (p - 1) + rank * (p - 1)^2: 96 + 512 * 96^2 < 2^23 at the cap (the
+# [m | I] of an inverse), and < 2^25 at 2048.
 MAX_DIM = 512
 
 
@@ -197,31 +204,50 @@ def rref(m: FpMatrix) -> RrefResult:
     matrices have the same row space iff their rrefs are identical
     after dropping zero rows.  Over F_2 the elimination runs on packed
     rows (_rref_f2); the RREF is unique, so the result is the same.
+
+    For odd p, reduction mod p is delayed (as in FFLAS-FFPACK, Dumas,
+    Giorgi and Pernet, ACM TOMS 2008).  At each column c only that
+    column is reduced; any unused row with a nonzero entry there is the
+    pivot row, scaled to lead with 1 and reduced, and the outer product
+    of the column and the row is subtracted in place from columns c
+    onward (an unused row is zero mod p left of c, so the reduced pivot
+    row is 0 there).  No row moves: at the end the pivot rows are
+    gathered in pivot order, the unused rows (all zero mod p by then)
+    after them, and the whole matrix is reduced once.  Every subtracted
+    term is a product of two reduced entries, so no entry exceeds
+    (p - 1) + rank * (p - 1)^2 in absolute value: int64 is exact.
     """
     p = m.p
     if p == 2:
         a, pivots = _rref_f2(m.a)
         return RrefResult(FpMatrix._wrap(p, a), len(pivots), pivots)
-    a = np.array(m.a, dtype=np.int64)
-    nrows, ncols = a.shape
+    a = m.a.copy()
+    free = list(range(a.shape[0]))
+    used: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(a.shape[1]):
+        if not free:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[:, c] % p
+        entries = col.tolist()
+        for i in free:
+            if entries[i]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * _inv_mod(int(a[r, c]), p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        row = a[i, c:] * _inv_mod(entries[i], p) % p
+        if sum(entries) > entries[i]:  # another row is nonzero at c
+            col[i] = 0
+            a[:, c:] -= col[:, None] * row
+        a[i, c:] = row
+        free.remove(i)
+        used.append(i)
         pivots.append(c)
-        r += 1
-    return RrefResult(FpMatrix._wrap(p, a), r, tuple(pivots))
+    order = used + free
+    if order != list(range(len(order))):
+        a = a[order]
+    a %= p
+    return RrefResult(FpMatrix._wrap(p, a), len(pivots), tuple(pivots))
 
 
 def _rref_f2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

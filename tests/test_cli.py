@@ -6,6 +6,7 @@ SystemExit(3), everything else as a returned code).
 """
 
 import json
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -804,6 +805,27 @@ def test_l_max_beyond_the_exponent_cap_is_limit_exceeded(tmp_path, capsys, comma
     report = load_report(rpt)
     assert (report["status"], report["reason"]) == ("validation-failure", "limit-exceeded")
     assert report["result"] == {"message": "l_max 1000001 beyond 1000000"}
+
+
+@pytest.mark.parametrize("command", ["validate", "find-fixed", "invariant-chain"])
+def test_d_beyond_the_dimension_cap_is_limit_exceeded(tmp_path, capsys, command):
+    """No window of more than 512 components fits the cap, so the reader
+    refuses such a d before validate samples equivariance on it."""
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text("p: 2\nd: 100000\nseed: []\n")
+    rpt = tmp_path / "wide.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--config", str(cfg), "--json", str(rpt))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert f"{command}: limit-exceeded: d 100000 beyond 512" in err
+    report = load_report(rpt)
+    assert (report["status"], report["reason"]) == ("validation-failure", "limit-exceeded")
+    assert report["result"] == {"message": "d 100000 beyond 512"}
+    assert report["action"]["d"] == 100000
+    cfg.write_text("p: 2\nd: 512\nseed: []\n")  # the reader lets the cap itself through
+    _, _, err = run(capsys, command, "--config", str(cfg))
+    assert "limit-exceeded: d " not in err
 
 
 # ---------------------------------------------------------------- determinism

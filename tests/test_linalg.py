@@ -13,6 +13,7 @@ import pytest
 
 from equifix.errors import DimensionMismatch, InvalidQuotient, LimitExceeded
 from equifix.linalg import (
+    MAX_DIM,
     FpMatrix,
     Subspace,
     check_prime,
@@ -21,6 +22,7 @@ from equifix.linalg import (
     map_image,
     map_preimage,
     quotient,
+    _mul,
     rref,
 )
 from equifix.replab import fixed_space, random_commuting_rep, restrict_rep
@@ -747,8 +749,9 @@ def test_public_constructor_copies_and_reduces():
 
 def int64_rref(m):
     """Test-local copy of the Gauss–Jordan elimination on int64 arrays
-    that rref runs for odd p and ran for p = 2 before F_2 moved to
-    packed rows."""
+    that rref ran for p = 2 before F_2 moved to packed rows, and for odd
+    p before reduction mod p was delayed: it swaps rows and reduces the
+    whole matrix at every pivot."""
     p = m.p
     a = np.array(m.a, dtype=np.int64)
     nrows, ncols = a.shape
@@ -795,16 +798,21 @@ def f2_matrices(seed):
     return [FpMatrix._wrap(2, a.astype(np.int64) % 2) for a in mats]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_f2_rref_matches_the_int64_elimination(seed):
-    shapes = set()
-    for m in f2_matrices(seed):
+def assert_rref_matches_int64(mats):
+    """rref of each matrix equals int64_rref's (RREF, rank, pivots) and is
+    read-only int64; returns the shapes seen."""
+    for m in mats:
         red = rref(m)
         a, rank, pivots = int64_rref(m)
         assert red.matrix.a.dtype == np.int64 and not red.matrix.a.flags.writeable
         assert np.array_equal(red.matrix.a, a), m.shape
-        assert (red.rank, red.pivots) == (rank, pivots)
-        shapes.add(m.shape)
+        assert (red.rank, red.pivots) == (rank, pivots), m.shape
+    return {m.shape for m in mats}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_f2_rref_matches_the_int64_elimination(seed):
+    shapes = assert_rref_matches_int64(f2_matrices(seed))
     assert {(1027, 1024), (40, 1024), (83, 1024)} <= shapes
 
 
@@ -820,6 +828,56 @@ def test_f2_inverse_at_the_cap():
     singular[:, -1] = (singular[:, 0] + singular[:, 1]) % 2
     with pytest.raises(DimensionMismatch):
         inverse(FpMatrix(2, singular))
+
+
+# ------------------------------------------- odd p, reduced once
+
+
+def odd_matrices(p, seed):
+    """Seeded matrices over F_p: empty, 1x1 and 2x2 (a 2x2 whose pivot
+    row sits below a row with none), then at a few widths matrices that
+    are tall, wide, rank-deficient (tall) and with repeated rows; sparse
+    rows of 2-4 x 200+ columns, as the spin-up absorbs and shifts; and a
+    stack of more rows than the cap, as Subspace.cut stacks conditions."""
+    rng = np.random.default_rng(seed)
+    mats = [np.zeros((0, 0)), np.zeros((0, 9)), np.zeros((5, 0)), np.zeros((1, 1)),
+            rng.integers(1, p, (1, 1)), rng.integers(0, p, (2, 2)), np.array([[0, 1], [1, 0]])]
+    for width in (3, 12, 40):
+        short = width // 2 + 1
+        low = rng.integers(0, p, (width + 3, 4)) @ rng.integers(0, p, (4, width))
+        wide = rng.integers(0, p, (short, width))
+        mats += [
+            rng.integers(0, p, (width + 3, width)),
+            wide,
+            low,
+            np.vstack([wide, 2 * wide[rng.permutation(short)], wide[:3]]),
+        ]
+    for rows, width in ((2, 200), (3, 256), (4, 300)):
+        mats.append((rng.random((rows, width)) < 0.02) * rng.integers(1, p, (rows, width)))
+    stack = rng.integers(0, p, (MAX_DIM + 30, 12)) @ rng.integers(0, p, (12, 30))
+    mats.append(np.vstack([stack, rng.integers(0, p, (5, 30))]))
+    return [FpMatrix._wrap(p, a.astype(np.int64) % p) for a in mats]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97])
+def test_odd_rref_matches_the_int64_elimination(p):
+    shapes = assert_rref_matches_int64(odd_matrices(p, p))
+    assert {(0, 0), (0, 9), (5, 0), (1, 1), (2, 2), (3, 256), (MAX_DIM + 35, 30)} <= shapes
+
+
+def test_odd_inverse_at_the_cap():
+    # [m | I] is 512 x 1024 of rank 512 at p = 97: the largest entry the
+    # delayed reduction can reach, (p - 1) + 512 * (p - 1)^2 < 2^23.
+    rng = np.random.default_rng(26)
+    n, p = MAX_DIM, 97
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
+    m = FpMatrix(p, _mul(lower, upper, p))
+    assert FpMatrix(p, _mul(m.a, inverse(m).a, p)) == FpMatrix.identity(p, n)
+    singular = np.array(m.a)
+    singular[:, -1] = (singular[:, 0] + 3 * singular[:, 1]) % p
+    with pytest.raises(DimensionMismatch):
+        inverse(FpMatrix(p, singular))
 
 
 def argmax_pivots(s):
@@ -863,8 +921,6 @@ def test_mul_equals_the_int64_product_at_the_float64_edge():
     entries from 90 to 96 at the same contraction, whose sums pass 2^24,
     check the low bits too (float32 loses them).  Stacked operands broadcast as in matmul, and a 0-row
     operand gives a 0-row product."""
-    from equifix.linalg import _mul
-
     full = np.full((2048, 3), 96, dtype=np.int64)
     assert np.array_equal(_mul(full.T, full, 97), full.T @ full % 97)
     rng = np.random.default_rng(25)
