@@ -13,10 +13,12 @@ The pipeline realized here, all in exact window coordinates:
      RREF over reversed columns, which is exactly what the one
      elimination of linalg.kernel produces, so each member is read off
      them with no elimination, and the chain's checks are read-offs and
-     products on the members and those rows.  The closure never stacks
-     more rows than the window dimension.  The members form a descending
-     chain whose intersection m_hat is stable under multiplication by t
-     once l_max reaches the depth where the chain stabilizes.
+     products on the members and those rows.  A member is read off only
+     at a depth where the closed rows grew; at any other depth it is the
+     member before it.  The closure never stacks more rows than the
+     window dimension.  The members form a descending chain whose
+     intersection m_hat is stable under multiplication by t once l_max
+     reaches the depth where the chain stabilizes.
   2. Intersect the window fixed space with m_hat, pick a deterministic
      nonzero witness (preferring one outside t*m_hat), and re-verify it
      from scratch by applying the action to the lifted series vector.
@@ -145,8 +147,11 @@ class _SpinUp:
     linalg.kernel eliminates R to, so kernel() is the canonical basis of
     ker R read off with no elimination.  A row space that starts as unit
     rows is already canonical (sorted by pivot) and is set directly.  R
-    is replaced on every merge, never written in place, so a reference
-    to `rows` is a snapshot.
+    is replaced on every merge, never written in place, and a merge
+    happens only when some row is new, so a reference to `rows` is a
+    snapshot and `rows is old` holds exactly when R has not grown since
+    `old` was taken: m_ell_chain relies on this to skip the depths that
+    add nothing.
 
     The closure is semi-naive: a generator entering multiplies the rows
     already in R once, and each block of rows entering R is multiplied
@@ -171,7 +176,9 @@ class _SpinUp:
         row*N, so R + span(block*g) = R + span(delta) with delta =
         block*N, which is supported on C.  Only delta is reduced against
         R, and reducing it touches only the rows of R whose pivot
-        columns it hits.
+        columns it hits.  delta is formed on C first and its zero rows,
+        which add nothing, are dropped before it is widened to the
+        window; a generator whose delta is zero is skipped.
       * The residue is zero on R's pivot columns, so its RREF rows are
         merged by clearing their pivot columns from R and sorting all
         rows by pivot: the result is canonical RREF again, with no
@@ -225,12 +232,17 @@ class _SpinUp:
         return kernel_from_reversed_rref(self.w.p, self.rows, self.pivots)
 
     def _close(self, block: np.ndarray, gens) -> None:
+        n, p = self.w.dim, self.w.p
         work = [(block, gens)]
         while work:
             block, gens = work.pop()
             for rows, cols, taps in gens:
-                delta = np.zeros(block.shape, dtype=np.int64)
-                delta[:, cols] = block[:, rows] @ taps % self.w.p
+                images = block[:, rows] @ taps % p
+                images = images[images.any(axis=1)]
+                if not images.shape[0]:
+                    continue
+                delta = np.zeros((images.shape[0], n), dtype=np.int64)
+                delta[:, cols] = images
                 new = self._absorb(delta)
                 if new.shape[0]:
                     work.append((new, self.gens))
@@ -293,7 +305,8 @@ class InvariantChain:
     All members live in window coordinates.  Construction-time checks
     guarantee: each member sits inside the lattice image, each meets
     the shell (it is not contained in the exponent >= 1 part), the
-    chain is nested, and t * m_hat ⊆ m_hat.
+    chain is nested, and t * m_hat ⊆ m_hat.  Consecutive equal members
+    are one object, and l_stable is the depth of the last distinct one.
     """
 
     action: Action
@@ -325,7 +338,12 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     One spin-up serves every depth (see max_invariant_subspace for why
     its kernel is M̂_ell), so each generator is checked and applied once.
     Generators enter as their taps on the window (taps.window_taps): no
-    dense window matrix is built.
+    dense window matrix is built.  A member is read off R and checked
+    only at a depth where R grew, which _SpinUp shows by replacing
+    `rows`; at any other depth the member is the previous one, appended
+    as it is.  Growth raises the rank of R, so the member strictly
+    shrinks there, and l_stable, the first depth from which the members
+    are all equal, is the last depth where R grew.
 
     Raises WindowTooNarrow up front for a window without exponent 0 (the
     shell every member must meet), and LMaxTooSmall when t * m_hat
@@ -337,8 +355,8 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     product on the members and R, so the chain eliminates only inside
     its spin-up: the two coordinate checks read the members' columns of
     the exponents below 0 and at 0, nesting is Subspace.contains, and the
-    intersection is certified by _is_intersection against R after each
-    depth.
+    intersection is certified by _is_intersection against R at each depth
+    where it grew.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
@@ -360,7 +378,8 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
     # The constraint rows of the lattice image: the unit rows of `below`.
     spin = _SpinUp(w, below)
     subs: list[Subspace] = []
-    cuts: list[np.ndarray] = []  # R after each depth, in window coordinates
+    cuts: list[np.ndarray] = []  # R at each depth where it grew, in window coordinates
+    read = None  # R at the last read-off
     for ell in range(l_max + 1):
         # The generators up to depth ell are g_{-ell} .. g_{top-1}: depth 0
         # adds g_0 .. g_{top-1} and depth ell only g_{-ell}, so each is
@@ -368,6 +387,10 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         # ell with the message action.generator_matrices gives.
         for k in range(0, top) if ell == 0 else range(-ell, min(top, 1 - ell)):
             spin.add_taps(window_taps(a.seed.conjugate(k), w))
+        if spin.rows is read:  # R did not grow, so the member is the previous one
+            subs.append(subs[-1])
+            continue
+        read, l_stable = spin.rows, ell
         sub = spin.kernel()
         if sub.basis.a[:, below].any():
             raise ChainInvariantViolation("member escapes the lattice image")
@@ -378,7 +401,7 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         if subs and not subs[-1].contains(sub):
             raise ChainInvariantViolation(f"chain fails to nest at depth {ell}")
         subs.append(sub)
-        cuts.append(spin.rows[:, ::-1])
+        cuts.append(read[:, ::-1])
     m_hat = subs[-1]
     if not _is_intersection(m_hat, cuts):
         raise ChainInvariantViolation("intersection disagrees with the deepest member")
@@ -386,16 +409,14 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         raise LMaxTooSmall(
             f"t * m_hat is not contained in m_hat: the chain has not stabilized by l_max = {l_max}"
         )
-    l_stable = l_max
-    while l_stable > 0 and subs[l_stable - 1] == subs[l_max]:
-        l_stable -= 1
     return InvariantChain(a, w, tuple(subs), m_hat, l_stable)
 
 
 def _is_intersection(k: Subspace, cuts: list[np.ndarray]) -> bool:
     """Whether k is the intersection of the kernels of the row blocks in
-    cuts, each spanned by the last, whose rows are independent (R after
-    each depth of a spin-up): with products and a dimension, no
+    cuts, each spanned by the last, whose rows are independent (R at each
+    depth of a spin-up where it grew; a depth where it did not would add
+    the same block again): with products and a dimension, no
     elimination.  R*k^T = 0 for every block puts k inside each kernel,
     hence inside their intersection, ker cuts[-1]; k has that kernel's
     dimension exactly when it is all of it."""

@@ -507,6 +507,22 @@ def test_invariant_chain_on_a_window_with_codim_beyond_half_the_cap(tmp_path, ca
     assert load_report(rpt)["result"]["chain"]["dims"] == [2]
 
 
+def test_invariant_chain_deep_on_a_window_at_the_cap(tmp_path, capsys):
+    """241 depths on a dim-512 window: R grows only at depth 0, so every
+    later member is the depth-0 one."""
+    cfg = family_config(tmp_path, capsys, "tap")
+    rpt = tmp_path / "deep.json"
+    code, _, err = run(
+        capsys,
+        "invariant-chain", "--config", str(cfg), "--window=-250:6", "--l-max", "240",
+        "--json", str(rpt),
+    )
+    assert code == 0, err
+    result = load_report(rpt)["result"]
+    assert [r["dim"] for r in result["rows"]] == [12] * 241
+    assert result["chain"]["l_stable"] == 0
+
+
 @pytest.mark.parametrize(
     "command, window, dim",
     [("invariant-chain", "-150:100", 500), ("find-fixed", "-250:4", 508)],

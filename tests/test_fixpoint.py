@@ -29,6 +29,9 @@ from equifix.errors import (
 )
 from equifix.fixpoint import (
     InvariantChain,
+    _is_intersection,
+    _SpinUp,
+    _t_stable,
     default_window,
     extract_witness,
     find_fixed_point,
@@ -1528,3 +1531,221 @@ def test_chain_checks_its_window_and_depth_as_the_generator_list_does():
             m_ell_chain(a, 1, LatticeWindow(-1, 2, d=a.d + 1, p=a.p))
         with pytest.raises(ValueError, match="l_max must be >= 0"):
             m_ell_chain(a, -1, default_window(a, 2, 0))
+
+
+# ------------------------------------------- depths where R does not grow
+
+
+class _DenseDeltaSpinUp(_SpinUp):
+    """_SpinUp closing each block with the full-width delta = block*N,
+    zero rows included, as the closure did before it dropped them."""
+
+    def _close(self, block, gens):
+        work = [(block, gens)]
+        while work:
+            block, gens = work.pop()
+            for rows, cols, taps in gens:
+                delta = np.zeros(block.shape, dtype=np.int64)
+                delta[:, cols] = block[:, rows] @ taps % self.w.p
+                new = self._absorb(delta)
+                if new.shape[0]:
+                    work.append((new, self.gens))
+
+
+def _per_depth_chain(a, l_max, w):
+    """m_ell_chain's members and l_stable the way they were computed
+    before members were read off only where R grew: a read-off and its
+    checks at every depth, the intersection certified against R after
+    every depth, and l_stable by walking back over equal members."""
+    if w.lo > 0 or w.hi <= 0:
+        raise WindowTooNarrow(
+            f"window [{w.lo},{w.hi}) leaves out exponent 0, where every member meets the shell"
+        )
+    top = a.modulus.visible(-l_max, w.hi).stop
+    below = [w.index(c, e) for c in range(1, w.d + 1) for e in range(w.lo, 0)]
+    shell = [w.index(c, 0) for c in range(1, w.d + 1)]
+    spin = _DenseDeltaSpinUp(w, below)
+    subs, cuts = [], []
+    for ell in range(l_max + 1):
+        for k in range(0, top) if ell == 0 else range(-ell, min(top, 1 - ell)):
+            spin.add_taps(window_taps(a.seed.conjugate(k), w))
+        sub = spin.kernel()
+        if sub.basis.a[:, below].any():
+            raise ChainInvariantViolation("member escapes the lattice image")
+        if not sub.basis.a[:, shell].any():
+            raise ChainInvariantViolation(
+                f"member at depth {ell} misses the shell: every element is divisible by t"
+            )
+        if subs and not subs[-1].contains(sub):
+            raise ChainInvariantViolation(f"chain fails to nest at depth {ell}")
+        subs.append(sub)
+        cuts.append(spin.rows[:, ::-1])
+    if not _is_intersection(subs[-1], cuts):
+        raise ChainInvariantViolation("intersection disagrees with the deepest member")
+    if not _t_stable(subs[-1], w):
+        raise LMaxTooSmall(
+            f"t * m_hat is not contained in m_hat: the chain has not stabilized by l_max = {l_max}"
+        )
+    l_stable = l_max
+    while l_stable > 0 and subs[l_stable - 1] == subs[l_max]:
+        l_stable -= 1
+    return subs, l_stable
+
+
+def _assert_chain_matches_per_depth_route(a, l_max, w):
+    """The chain's members, dims and l_stable, or its error, against
+    _per_depth_chain's; returns l_stable or the error type."""
+    try:
+        subs, l_stable = _per_depth_chain(a, l_max, w)
+    except (LMaxTooSmall, WindowTooNarrow) as expected:
+        with pytest.raises(type(expected)) as info:
+            m_ell_chain(a, l_max, w)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+        assert getattr(info.value, "suggestion", None) == getattr(expected, "suggestion", None)
+        return type(expected)
+    chain = m_ell_chain(a, l_max, w)
+    assert chain.dims() == [s.dim for s in subs]
+    for ell, (got, want) in enumerate(zip(chain.subspaces, subs, strict=True)):
+        assert np.array_equal(got.basis.a, want.basis.a), ell
+        assert np.array_equal(got.pivots, want.pivots), ell
+    assert chain.l_stable == l_stable
+    return l_stable
+
+
+def test_chain_matches_the_per_depth_route():
+    """Members read off only where R grew, and l_stable as the last such
+    depth, agree with a read-off at every depth and the backward walk:
+    on the bundled families over the ladder (policy, widened and explicit
+    windows), on trivial actions, and on random actions at p = 2, 3, 5
+    whose windows are sometimes too narrow and whose l_max is sometimes
+    below the stabilizing depth."""
+    outcomes = []
+    for name, fam in sorted(FAMILIES.items()):
+        a = mk_action(*fam, label=name)
+        for precision, l_max in ((4, 3), (8, 6), (12, 8)):
+            w = default_window(a, precision, l_max)
+            for window in (w, widen_window(w), LatticeWindow(-1, 3, a.d, a.p),
+                           LatticeWindow(w.lo + 2, w.hi, a.d, a.p)):
+                outcomes.append(_assert_chain_matches_per_depth_route(a, l_max, window))
+    for p in (2, 3, 5):
+        for d in (1, 2, 3):
+            a = mk_action(p, d, [])
+            for l_max in (0, 4):
+                outcomes.append(_assert_chain_matches_per_depth_route(a, l_max, LatticeWindow(-2, 3, d, p)))
+    for l_max in range(4):  # stabilizes at depth 2
+        a = mk_action(*LMAX_INPUT)
+        outcomes.append(_assert_chain_matches_per_depth_route(a, l_max, default_window(a, 4, l_max)))
+    rng = random.Random(27)
+    for trial in range(240):
+        p = [2, 3, 5][trial % 3]
+        span = rng.choice([1, 2, 3])
+        a = random_valid_action(rng, p, rng.randint(2, 3), exp_lo=-span, exp_hi=span)
+        l_max = rng.randint(0, 8)
+        w = default_window(a, rng.randint(1, 5), l_max)
+        if trial % 2:  # an explicit window around the policy's
+            lo = w.lo + rng.randint(-2, 3)
+            w = LatticeWindow(lo, max(lo + 1, w.hi + rng.randint(-3, 2)), a.d, a.p)
+        outcomes.append(_assert_chain_matches_per_depth_route(a, l_max, w))
+    assert {LMaxTooSmall, WindowTooNarrow, 0, 1, 2, 3} <= set(outcomes)
+
+
+def _random_taps(rng, n, p):
+    """Entries {(row, col): coeff} of a nilpotent N, all strictly below or
+    all strictly above the diagonal, so that I + N is invertible; now and
+    then two taps chain, so that one writes into a column another reads
+    (g[C, C] is not the identity)."""
+    lower = rng.random() < 0.5
+    entries = {}
+    for _ in range(rng.randint(1, 4)):
+        r, c = sorted(rng.sample(range(n), 2), reverse=lower)
+        entries[r, c] = rng.randrange(1, p)
+    if n >= 3 and rng.random() < 0.3:
+        i, j, k = sorted(rng.sample(range(n), 3), reverse=not lower)
+        entries[j, i] = entries[k, j] = rng.randrange(1, p)
+    return entries
+
+
+def _random_spin_up_steps(rng, spins, p, n):
+    """Apply the same random add_taps or add_rows to every spin-up in
+    spins, and yield the first one's rows from before each step.  The
+    rows added are random, in R (combinations of R's rows) or zero, so
+    that some steps grow R and some leave it alone."""
+    for _ in range(rng.randint(1, 8)):
+        old = spins[0].rows
+        if rng.random() < 0.5:
+            entries = _random_taps(rng, n, p)
+            for spin in spins:
+                spin.add_taps(entries)
+            yield old
+            continue
+        k = rng.randint(1, 3)
+        rows = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+        kind = rng.random()
+        if kind < 0.4:
+            mix = np.array([[rng.randrange(p) for _ in old] for _ in range(k)], dtype=np.int64)
+            rows = mix.reshape(k, len(old)) @ old[:, ::-1] % p
+        elif kind < 0.6:
+            rows[:] = 0
+        for spin in spins:
+            spin.add_rows(rows)
+        yield old
+
+
+def test_spin_up_rows_are_replaced_exactly_when_the_rank_grows():
+    """m_ell_chain tells a depth that grew R by identity: after add_taps
+    or add_rows, `rows is old` holds iff the rank did not change."""
+    rng = random.Random(2)
+    seen, chained = set(), 0
+    for trial in range(300):
+        p = [2, 3, 5][trial % 3]
+        w = LatticeWindow(-rng.randint(1, 3), rng.randint(1, 4), d=rng.randint(1, 3), p=p)
+        spin = _SpinUp(w, rng.sample(range(w.dim), rng.randint(0, w.dim)))
+        for old in _random_spin_up_steps(rng, [spin], p, w.dim):
+            same = spin.rows is old
+            assert same == (spin.rows.shape[0] == old.shape[0]), trial
+            assert same or spin.rows.shape[0] > old.shape[0]
+            seen.add(same)
+        chained += any(not set(rows.tolist()).isdisjoint(cols.tolist())
+                       for rows, cols, _ in spin.gens)
+    assert seen == {True, False}
+    assert chained >= 20
+
+
+def test_closure_matches_the_dense_delta_closure():
+    """Dropping the zero rows of block*N before widening it gives the
+    same R, rows and pivots, after every add_taps and add_rows."""
+    rng = random.Random(3)
+    grew = 0
+    for trial in range(300):
+        p = [2, 3, 5][trial % 3]
+        w = LatticeWindow(-rng.randint(1, 3), rng.randint(1, 4), d=rng.randint(1, 3), p=p)
+        units = rng.sample(range(w.dim), rng.randint(0, w.dim))
+        spin, dense = _SpinUp(w, units), _DenseDeltaSpinUp(w, units)
+        for old in _random_spin_up_steps(rng, [spin, dense], p, w.dim):
+            assert np.array_equal(spin.rows, dense.rows), trial
+            assert np.array_equal(spin.pivots, dense.pivots), trial
+            grew += spin.rows is not old
+    assert grew >= 100
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_chain_reads_members_off_only_where_r_grew(monkeypatch, name):
+    """One _SpinUp.kernel call per depth where R grew: each bundled family
+    stabilizes at depth 0, so 1 instead of 9 at (12, 8)."""
+    a = mk_action(*FAMILIES[name])
+    w = default_window(a, 12, 8)
+    ranks = [spin.rows.shape[0] for spin in _spin_up_by_depth(a, 8, w)]
+    grew = 1 + sum(r != q for q, r in zip(ranks, ranks[1:]))
+    real = _SpinUp.kernel
+    calls = []
+
+    def counting_kernel(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(_SpinUp, "kernel", counting_kernel)
+    chain = m_ell_chain(a, 8, w)
+    assert len(calls) == grew == 1
+    assert chain.l_stable == 0 and len(set(map(id, chain.subspaces))) == 1
+
