@@ -14,6 +14,12 @@ Series literals follow a small grammar, whitespace-insensitive::
     coeff  := unsigned integer        # reduced mod p
     int    := optionally signed integer
 
+A digit is any character int() reads (ASCII or another script's decimal
+digit, not a superscript).  Malformed input raises SeriesParseError
+carrying the position of the first character no piece of the grammar
+matches; an exponent or precision beyond ±MAX_EXPONENT raises
+ExponentOverflow.
+
 The canonical printer emits ascending exponents, omits zero terms, and
 always appends the precision tail, e.g. ``"2*t^-1 + t + O(t^2)"`` or
 ``"0 + O(t^3)"``; parse and format are mutually inverse on canonical
@@ -22,6 +28,7 @@ forms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,118 +178,47 @@ class LaurentSeries:
         return format_series(self)
 
 
+# The grammar's three pieces, each after optional whitespace: a term, the
+# "+" before the next piece, and the precision tail.  Digits are \d, the
+# characters int() reads, and whitespace is \s, the str.isspace() set.
+# A term starts with a digit or "t"; its groups are the coefficient
+# (empty for a bare atom), the "t", and the exponent's sign and digits.
+_EXP = r"\s*\^\s*([+-]?)\s*(\d+)"
+_TERM = re.compile(rf"\s*(?=[\dt])(\d*)(?:\s*\*?\s*(t)(?:{_EXP})?)?")
+_PLUS = re.compile(r"\s*\+")
+_TAIL = re.compile(rf"\s*O\s*\(\s*t{_EXP}\s*\)")
+
+
 def parse_series(text: str, p: int, default_prec: int) -> LaurentSeries:
     """Parse a series literal; see the module grammar."""
     check_prime(p)
-    parser = _Parser(text)
-    terms: list[tuple[int, int]] = []
-    o_prec: int | None = None
-    terms.append(parser.term())
-    while True:
-        parser.skip_ws()
-        if parser.done():
-            break
-        parser.expect("+")
-        parser.skip_ws()
-        if parser.peek() == "O":
-            o_prec = parser.o_tail()
-            parser.skip_ws()
-            if not parser.done():
-                parser.fail("trailing input after precision tail")
-            break
-        terms.append(parser.term())
-    prec = default_prec if o_prec is None else o_prec
-    _check_exponent(prec)
     acc: dict[int, int] = {}
-    for e, c in terms:
-        acc[e] = (acc.get(e, 0) + c) % p
+    prec, pos = default_prec, 0
+    while True:
+        term = _TERM.match(text, pos)
+        if term is None:
+            _fail(text, pos, "expected a term")
+        coeff, t, sign, digits = term.groups("")
+        e = _check_exponent(int(sign + digits)) if digits else 1 if t else 0
+        acc[e] = (acc.get(e, 0) + int(coeff or 1)) % p
+        pos = term.end()
+        plus = _PLUS.match(text, pos)
+        if plus is None:
+            break
+        pos = plus.end()
+        tail = _TAIL.match(text, pos)
+        if tail is not None:
+            prec, pos = int(tail[1] + tail[2]), tail.end()
+            break
+    if text[pos:].strip():
+        _fail(text, pos, "expected '+' or the end of the literal")
+    _check_exponent(prec)
     return LaurentSeries.from_terms(p, acc, prec)
 
 
-class _Parser:
-    """Recursive-descent reader for series literals."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, msg: str):
-        raise SeriesParseError(msg, self.pos)
-
-    def done(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def unsigned(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def signed(self) -> int:
-        self.skip_ws()
-        sign = 1
-        if self.peek() in "+-":
-            if self.peek() == "-":
-                sign = -1
-            self.pos += 1
-        return sign * self.unsigned()
-
-    def atom(self) -> int:
-        """Parse 't' with optional '^int'; return the exponent."""
-        self.expect("t")
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            e = self.signed()
-        else:
-            e = 1
-        return _check_exponent(e)
-
-    def term(self) -> tuple[int, int]:
-        """Parse one term; return (exponent, raw coefficient)."""
-        self.skip_ws()
-        ch = self.peek()
-        if ch.isdigit():
-            c = self.unsigned()
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                self.skip_ws()
-                return (self.atom(), c)
-            if self.peek() == "t":
-                return (self.atom(), c)
-            return (0, c)
-        if ch == "t":
-            return (self.atom(), 1)
-        self.fail("expected a term")
-
-    def o_tail(self) -> int:
-        """Parse 'O(t^int)' and return the precision order."""
-        for ch in "O(":
-            self.expect(ch)
-            self.skip_ws()
-        self.expect("t")
-        self.skip_ws()
-        self.expect("^")
-        n = self.signed()
-        self.skip_ws()
-        self.expect(")")
-        return n
+def _fail(text: str, pos: int, msg: str):
+    """Raise at the first non-space character from pos (or the end)."""
+    raise SeriesParseError(msg, len(text) - len(text[pos:].lstrip()))
 
 
 def format_series(s: LaurentSeries) -> str:

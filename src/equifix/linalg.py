@@ -388,7 +388,9 @@ class Subspace:
         """Whether every row of vecs lies in self, with no elimination: o
         lies in the span of the canonical basis B with pivot columns piv
         iff o - o[piv]*B = 0, since o[piv]*B is the only member of the
-        span that agrees with o on the pivot columns."""
+        span that agrees with o on the pivot columns.  vecs is reduced
+        mod p first, so any int64 entries are read exactly."""
+        vecs = np.asarray(vecs, dtype=np.int64) % self.p
         return not ((vecs - vecs[:, self.pivots] @ self.basis.a) % self.p).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -412,7 +414,8 @@ class Subspace:
         return self.cut(other.constraints().a)
 
     def cut(self, rows: np.ndarray) -> "Subspace":
-        """{v in self : rows @ v = 0}, solved in self's coordinates.
+        """{v in self : rows @ v = 0}, solved in self's coordinates; rows
+        is reduced mod p first, so any int64 entries are read exactly.
 
         c*B (B the basis of self) satisfies the rows iff rows*B^T*c = 0,
         so the result is K*B for K the canonical basis of
@@ -421,7 +424,7 @@ class Subspace:
         pivots of B, so K*B is canonical as it stands, with pivots
         piv[pivK].  No matrix formed exceeds max(#rows, n) on a side.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64) % self.p
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch("rows do not act on the ambient space")
         p, b = self.p, self.basis.a

@@ -33,6 +33,7 @@ from .linalg import (
     _mul,
     check_prime,
     inverse,
+    kernel,
     quotient,
     rref,
 )
@@ -97,12 +98,12 @@ def _not_order_p(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def fixed_space(rep: FiniteRep) -> Subspace:
-    """V^G = the joint kernel of g - id over the generators."""
+    """V^G = the joint kernel of g - id over the generators: one kernel of
+    them stacked (no rows, so F_p^dim, when r = 0)."""
     ident = np.eye(rep.dim, dtype=np.int64)
-    space = Subspace.full(rep.p, rep.dim)
-    for g in rep.generators:
-        space = space.cut(g.a - ident)
-    return space
+    empty = np.zeros((0, rep.dim), dtype=np.int64)
+    moved = [(g.a - ident) % rep.p for g in rep.generators]
+    return kernel(FpMatrix._wrap(rep.p, np.vstack([empty, *moved])))
 
 
 @dataclass(frozen=True)

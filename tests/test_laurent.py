@@ -29,6 +29,7 @@ from equifix.laurent import (
     format_vector,
     parse_series,
     random_series,
+    _check_exponent,
     random_vector,
     window_coords,
 )
@@ -57,7 +58,9 @@ def test_hand_written_literals_canonicalize(text, p, default_prec, expected):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "t^", "1 +", "+ t", "t**2", "2.5", "t^x", "1 + O(t^)", "--1"]
+    "bad",
+    # The last three hold digits that str.isdigit() accepts and int() does not.
+    ["", "t^", "1 +", "+ t", "t**2", "2.5", "t^x", "1 + O(t^)", "--1", "t^²", "²", "1 + O(t^³)"],
 )
 def test_parse_rejects_malformed_input(bad):
     with pytest.raises(SeriesParseError):
@@ -67,7 +70,7 @@ def test_parse_rejects_malformed_input(bad):
 def test_parse_error_reports_position():
     with pytest.raises(SeriesParseError) as info:
         parse_series("1 + t^", 2, 4)
-    assert isinstance(info.value.pos, int)
+    assert "1 + t^"[info.value.pos] == "^"
 
 
 def test_parse_rejects_huge_exponent():
@@ -378,3 +381,184 @@ def test_window_round_trip_random_vectors():
 def test_format_vector_shape():
     v = SeriesVector.zero(2, 2, 4)
     assert format_vector(v) == "(0 + O(t^4), 0 + O(t^4))"
+
+
+# ---------------------------------------------------------------- reference
+# The recursive-descent reader that the three patterns of parse_series
+# replaced, kept here as the reference they are compared against.
+
+
+def _reference_parse_series(text, p, default_prec):
+    parser = _ReferenceParser(text)
+    terms = []
+    o_prec = None
+    terms.append(parser.term())
+    while True:
+        parser.skip_ws()
+        if parser.done():
+            break
+        parser.expect("+")
+        parser.skip_ws()
+        if parser.peek() == "O":
+            o_prec = parser.o_tail()
+            parser.skip_ws()
+            if not parser.done():
+                parser.fail("trailing input after precision tail")
+            break
+        terms.append(parser.term())
+    prec = default_prec if o_prec is None else o_prec
+    _check_exponent(prec)
+    acc = {}
+    for e, c in terms:
+        acc[e] = (acc.get(e, 0) + c) % p
+    return LaurentSeries.from_terms(p, acc, prec)
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def fail(self, msg):
+        raise SeriesParseError(msg, self.pos)
+
+    def done(self):
+        return self.pos >= len(self.text)
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def unsigned(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.fail("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def signed(self):
+        self.skip_ws()
+        sign = 1
+        if self.peek() in "+-":
+            if self.peek() == "-":
+                sign = -1
+            self.pos += 1
+        return sign * self.unsigned()
+
+    def atom(self):
+        self.expect("t")
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            e = self.signed()
+        else:
+            e = 1
+        return _check_exponent(e)
+
+    def term(self):
+        self.skip_ws()
+        ch = self.peek()
+        if ch.isdigit():
+            c = self.unsigned()
+            self.skip_ws()
+            if self.peek() == "*":
+                self.pos += 1
+                self.skip_ws()
+                return (self.atom(), c)
+            if self.peek() == "t":
+                return (self.atom(), c)
+            return (0, c)
+        if ch == "t":
+            return (self.atom(), 1)
+        self.fail("expected a term")
+
+    def o_tail(self):
+        for ch in "O(":
+            self.expect(ch)
+            self.skip_ws()
+        self.expect("t")
+        self.skip_ws()
+        self.expect("^")
+        n = self.signed()
+        self.skip_ws()
+        self.expect(")")
+        return n
+
+
+# The grammar's alphabet, digits int() does not read ("²"), digits it
+# does read outside ASCII ("٣"), and whitespace beyond the ASCII space.
+_NOISE = "0123456789tt^^**++-O() \t\u2003\u00a0²٣"
+_SPACES = ["", "", "", " ", " ", "\t", "\u2003", "\u00a0"]
+# Signed exponents, spaced as the grammar allows, two of them beyond the cap.
+_EXPONENTS = ["0", "1", "2", "7", "-1", "-2", "+3", "- 4", "-\t10", "1000000", "-1000001"]
+
+
+def _literals(rng, n):
+    """n well-formed literals with random spacing, term forms and
+    exponents, half of them with one character replaced, dropped or
+    doubled.  Each joins a few terms from a pool drawn first, and half
+    end in a precision tail."""
+    def ws():
+        return rng.choice(_SPACES)
+
+    def exponent():
+        return ws() + "^" + ws() + rng.choice(_EXPONENTS)
+
+    terms = []
+    for _ in range(2000):
+        coeff = str(rng.randint(0, 12)) + rng.choice(["", "", "٣"])
+        atom = "t" + (exponent() if rng.random() < 0.7 else "")
+        term = rng.choice([coeff, coeff + ws() + "*" + ws() + atom, coeff + ws() + atom, atom])
+        terms.append(ws() + term + ws())
+    tails = [ws() + "O" + ws() + "(" + ws() + "t" + exponent() + ws() + ")" + ws() for _ in range(200)]
+    out = []
+    for _ in range(n):
+        pieces = rng.choices(terms, k=rng.randint(1, 4))
+        if rng.random() < 0.5:
+            pieces.append(rng.choice(tails))
+        text = "+".join(pieces)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(["", rng.choice(_NOISE), text[i] * 2]) + text[i + 1 :]
+        out.append(text)
+    return out
+
+
+def _outcome(parse, text, p, default_prec):
+    try:
+        return parse(text, p, default_prec)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_patterns_agree_with_the_reference_parser():
+    """Every literal the reference reads gives the same series, and every
+    rejection the same exception class, except where the reference let
+    int() raise a bare ValueError on a digit that str.isdigit() accepts:
+    that is a SeriesParseError now, or an ExponentOverflow where an
+    out-of-cap exponent precedes it."""
+    rng = random.Random(29)
+    corpus = _literals(rng, 25_000)
+    corpus += ["".join(rng.choices(_NOISE, k=rng.randint(0, 10))) for _ in range(25_000)]
+    counts = {"accepted": 0, "bare": 0}
+    for text in corpus:
+        p, default_prec = rng.choice([2, 5]), rng.randint(-2, 6)
+        want = _outcome(_reference_parse_series, text, p, default_prec)
+        got = _outcome(parse_series, text, p, default_prec)
+        if want is ValueError:
+            counts["bare"] += 1
+            assert got in (SeriesParseError, ExponentOverflow), text
+        else:
+            counts["accepted"] += isinstance(want, LaurentSeries)
+            assert got == want, text
+    assert counts["accepted"] > 5_000 and counts["bare"] > 1_000

@@ -521,6 +521,19 @@ def test_cut_rejects_rows_of_another_width():
             s.cut(rows)
 
 
+# Raw int64 input is reduced before any product: 3^39 fits int64, but a
+# sum of its products with basis entries would not.
+def test_cut_reads_unreduced_rows_mod_p():
+    line = Subspace.from_rows(3, 2, [[1, 2]])
+    assert line.cut([[3**39, 3**39]]) == line  # the row is 0 mod 3
+
+
+def test_spans_reads_unreduced_vectors_mod_p():
+    line = Subspace.from_rows(3, 2, [[1, 2]])
+    assert line.spans(np.array([[2 * 3**39 + 1, 2]]))  # (1, 2) mod 3
+    assert not line.spans(np.array([[2 * 3**39 + 1, 1]]))
+
+
 def test_sum_of_subspaces_whose_bases_stack_past_the_cap():
     eye = np.eye(400, dtype=np.int64)
     u = Subspace.from_rows(2, 400, eye[:300])
