@@ -26,7 +26,7 @@ from equifix.taps import SparsePerturbation, TapEntry
 
 print("one unipotent generator at p = 3 (a 3x3 Jordan block)")
 g = FpMatrix(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-rep = FiniteRep(3, 3, [g], label="jordan-3")
+rep = FiniteRep(3, 3, [g])
 flt = kernel_filtration(g, 3)
 print(f"  kernel filtration d(i) = {list(flt.dims)}  (differences {list(flt.differences)})")
 print(f"  fixed dim {fixed_space(rep).dim} >= 3 / 3^1 -> {fixed_bound_check(rep).ok}")

@@ -55,7 +55,6 @@ from .taps import (
     SparsePerturbation,
     TapEntry,
     compose,
-    derive_modulus,
     induced_matrix,
     inverse_perturbation,
     power_check_nilpotent,
@@ -94,7 +93,6 @@ from .fixpoint import (
     window_b_image,
 )
 from .oracle import (
-    EnumerationBudget,
     brute_fixed,
     brute_max_invariant,
     count_subspaces,

@@ -23,7 +23,6 @@ from .taps import (
     SeedAutomorphism,
     SparsePerturbation,
     TapEntry,
-    derive_modulus,
     induced_matrix,
 )
 
@@ -95,7 +94,7 @@ def build_action(spec: ActionSpec) -> Action:
     not generate an action of the required shape.
     """
     auto = SeedAutomorphism(spec.seed)  # raises with transcripts on failure
-    return Action(spec, auto, derive_modulus(spec.seed))
+    return Action(spec, auto, ContractionModulus(spec.seed.min_out_exp))
 
 
 @dataclass(frozen=True)

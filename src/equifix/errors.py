@@ -46,9 +46,8 @@ class OutsideWindow(EquifixError, ValueError):
 class WindowTooNarrow(EquifixError, ValueError):
     """An operator writes below the window floor; widen the window."""
 
-    def __init__(self, message: str, entry=None, suggestion=None):
+    def __init__(self, message: str, suggestion=None):
         super().__init__(message)
-        self.entry = entry
         self.suggestion = suggestion
 
 
@@ -81,7 +80,7 @@ class EmptyFixedSpace(EquifixError, RuntimeError):
 
 
 class BudgetExceeded(EquifixError, RuntimeError):
-    """Brute-force enumeration would exceed the configured budget."""
+    """Brute-force enumeration would exceed the oracle's fixed cap."""
 
 
 class LMaxTooSmall(EquifixError, RuntimeError):

@@ -212,15 +212,14 @@ class _SpinUp:
         at_row = {r: i for i, r in enumerate(rows)}
         at_col = {c: i for i, c in enumerate(cols)}
         taps = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        square = np.eye(len(cols), dtype=np.int64)  # g[C, C]
         for (r, c), coeff in entries.items():
-            r, c = last - r, at_col[last - c]
-            taps[at_row[r], c] = coeff
-            if r in at_col:
-                square[at_col[r], c] += coeff
-        square_is_identity = at_row.keys().isdisjoint(at_col)
-        if not square_is_identity and rref(FpMatrix._wrap(p, square % p)).rank != len(cols):
-            raise SingularGenerator("generator is singular on the window")
+            taps[at_row[last - r], at_col[last - c]] = coeff
+        written = [r for r in rows if r in at_col]  # the rows of C a tap writes into
+        if written:
+            square = np.eye(len(cols), dtype=np.int64)  # g[C, C] = I + N[C, C]
+            square[[at_col[r] for r in written]] += taps[[at_row[r] for r in written]]
+            if rref(FpMatrix._wrap(p, square % p)).rank != len(cols):
+                raise SingularGenerator("generator is singular on the window")
         gen = (np.array(rows), np.array(cols), taps)
         self.gens.append(gen)
         self._close(self.rows, [gen])
@@ -643,7 +642,7 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
     induced = q.project(images(q.coset_basis.a).reshape(-1, dim)).reshape(len(gens), q.dim, q.dim)
     ident = np.eye(q.dim, dtype=np.int64)
     mats = [FpMatrix._wrap(p, m.T) for m in induced if (m != ident).any()]
-    rep = FiniteRep(p, q.dim, mats, label=a.spec.label or "lemma-chain")
+    rep = FiniteRep(p, q.dim, mats)
     nested = tuple(
         Subspace.from_rows(p, q.dim, q.project(copies[n].basis.a)) for n in range(1, n_max + 1)
     )

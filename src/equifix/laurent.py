@@ -15,10 +15,10 @@ Series literals follow a small grammar, whitespace-insensitive::
     int    := optionally signed integer
 
 A digit is any character int() reads (ASCII or another script's decimal
-digit, not a superscript).  Malformed input raises SeriesParseError
-carrying the position of the first character no piece of the grammar
-matches; an exponent or precision beyond ±MAX_EXPONENT raises
-ExponentOverflow.
+digit, not a superscript), and an integer may have any number of them.
+Malformed input raises SeriesParseError carrying the position of the
+first character no piece of the grammar matches; an exponent or
+precision beyond ±MAX_EXPONENT raises ExponentOverflow.
 
 The canonical printer emits ascending exponents, omits zero terms, and
 always appends the precision tail, e.g. ``"2*t^-1 + t + O(t^2)"`` or
@@ -88,15 +88,6 @@ class LaurentSeries:
         return cls(p, 0, (), prec)
 
     @classmethod
-    def one(cls, p: int, prec: int) -> "LaurentSeries":
-        return cls(p, 0, (1,), prec)
-
-    @classmethod
-    def t_power(cls, p: int, k: int, prec: int, coeff: int = 1) -> "LaurentSeries":
-        """The monomial coeff * t^k known modulo t^prec."""
-        return cls(p, k, (coeff,), prec)
-
-    @classmethod
     def from_terms(cls, p: int, terms: dict[int, int], prec: int) -> "LaurentSeries":
         """Build from an exponent -> coefficient mapping; terms at or past
         prec and coefficients divisible by p are dropped."""
@@ -122,10 +113,6 @@ class LaurentSeries:
                 f"coefficient of t^{e} requested from a series known mod t^{self.prec}"
             )
         return self.terms.get(e, 0)
-
-    def support(self) -> tuple[int, ...]:
-        """Exponents with nonzero coefficient."""
-        return tuple(self.terms)
 
     def _check_same_field(self, other: "LaurentSeries"):
         if self.p != other.p:
@@ -188,19 +175,47 @@ _TERM = re.compile(rf"\s*(?=[\dt])(\d*)(?:\s*\*?\s*(t)(?:{_EXP})?)?")
 _PLUS = re.compile(r"\s*\+")
 _TAIL = re.compile(rf"\s*O\s*\(\s*t{_EXP}\s*\)")
 
+# Digits per int() call: int() refuses a string longer than
+# sys.int_max_str_digits (4300 by default, never set below 640), so a
+# longer run of digits is read a chunk at a time.
+_CHUNK = 600
+
+
+def _chunks(digits: str):
+    return (digits[i:i + _CHUNK] for i in range(0, len(digits), _CHUNK))
+
+
+def _coefficient(digits: str, p: int) -> int:
+    """The unsigned integer the digits spell, reduced mod p."""
+    value = 0
+    for chunk in _chunks(digits):
+        value = (value * pow(10, len(chunk), p) + int(chunk)) % p
+    return value
+
+
+def _exponent(sign: str, digits: str) -> int:
+    """A signed exponent or precision, read by value after its leading
+    zeros and checked against the cap, stopping once it is past it."""
+    value = 0
+    for chunk in _chunks(digits):
+        if value > MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent of {len(digits)} digits beyond ±{MAX_EXPONENT}")
+        value = value * 10 ** len(chunk) + int(chunk)
+    return _check_exponent(-value if sign == "-" else value)
+
 
 def parse_series(text: str, p: int, default_prec: int) -> LaurentSeries:
     """Parse a series literal; see the module grammar."""
     check_prime(p)
     acc: dict[int, int] = {}
-    prec, pos = default_prec, 0
+    pos, tail = 0, None
     while True:
         term = _TERM.match(text, pos)
         if term is None:
             _fail(text, pos, "expected a term")
         coeff, t, sign, digits = term.groups("")
-        e = _check_exponent(int(sign + digits)) if digits else 1 if t else 0
-        acc[e] = (acc.get(e, 0) + int(coeff or 1)) % p
+        e = _exponent(sign, digits) if digits else 1 if t else 0
+        acc[e] = (acc.get(e, 0) + (_coefficient(coeff, p) if coeff else 1)) % p
         pos = term.end()
         plus = _PLUS.match(text, pos)
         if plus is None:
@@ -208,11 +223,13 @@ def parse_series(text: str, p: int, default_prec: int) -> LaurentSeries:
         pos = plus.end()
         tail = _TAIL.match(text, pos)
         if tail is not None:
-            prec, pos = int(tail[1] + tail[2]), tail.end()
+            pos = tail.end()
             break
     if text[pos:].strip():
         _fail(text, pos, "expected '+' or the end of the literal")
-    _check_exponent(prec)
+    # The precision is read once the whole literal has matched, so a
+    # malformed literal is a SeriesParseError whatever its tail holds.
+    prec = _exponent(tail[1], tail[2]) if tail else default_prec
     return LaurentSeries.from_terms(p, acc, prec)
 
 
@@ -350,10 +367,6 @@ class LatticeWindow:
                 f"exponent {exponent} outside window [{self.lo}, {self.hi})"
             )
         return (component - 1) * self.width + (exponent - self.lo)
-
-    def labels(self) -> list[tuple[int, int]]:
-        """Coordinate labels (component, exponent) in index order."""
-        return [(c, e) for c in range(1, self.d + 1) for e in range(self.lo, self.hi)]
 
 
 def window_coords(v: SeriesVector, w: LatticeWindow) -> np.ndarray:

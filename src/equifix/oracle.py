@@ -32,16 +32,15 @@ combination is found again from its base-p code.
     vector v lies in the row span of C iff v = v[pivC]·C, which tests
     invariance and maximality for a whole stack at once.
 
-Budgets keep the enumerations from silently eating hours; exceeding one
-raises BudgetExceeded, before any table is built, rather than
-degrading.  The subspace budget counts what is enumerated: the subspaces
-of the ambient.
+Fixed caps keep the enumerations from silently eating hours: more than
+MAX_VECTORS = 2^20 vectors or MAX_SUBSPACES = 2^22 subspaces raises
+BudgetExceeded, before any table is built, rather than degrading.  The
+subspace cap counts what is enumerated: the subspaces of the ambient.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +48,9 @@ from .errors import BudgetExceeded, DimensionMismatch
 from .linalg import FpMatrix, Subspace
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Caps for oracle search sizes (counts, not bytes)."""
-
-    max_vectors: int = 1 << 20
-    max_subspaces: int = 1 << 22
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+# Caps on the oracle's search sizes (counts, not bytes).
+MAX_VECTORS = 1 << 20
+MAX_SUBSPACES = 1 << 22
 
 
 def _span_table(p: int, rows) -> np.ndarray:
@@ -118,7 +111,7 @@ def _in_span(vecs: np.ndarray, bases: np.ndarray, pivots, p: int) -> np.ndarray:
     return (combined == vecs[:, :, rest]).all(axis=(1, 2))
 
 
-def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAULT_BUDGET) -> Subspace:
+def brute_fixed(p: int, dim: int, generators) -> Subspace:
     """Common fixed vectors of the generators, by checking every vector.
 
     Row i of the span table of g's columns is g applied to vector i, so
@@ -130,8 +123,8 @@ def brute_fixed(p: int, dim: int, generators, budget: EnumerationBudget = DEFAUL
     coordinates), found by their base-p code p^r.
     """
     total = p**dim
-    if total > budget.max_vectors:
-        raise BudgetExceeded(f"{total} vectors exceeds budget {budget.max_vectors}")
+    if total > MAX_VECTORS:
+        raise BudgetExceeded(f"{total} vectors exceeds budget {MAX_VECTORS}")
     # Row i spells i in base p, least significant digit first.
     vectors = _span_table(p, np.eye(dim, dtype=np.int64))
     gens = _generator_arrays(p, dim, generators)
@@ -168,15 +161,15 @@ def count_subspaces(p: int, dim: int, k: int) -> int:
 _STACK = 1 << 14
 
 
-def _rref_bases(p: int, dim: int, budget: EnumerationBudget):
+def _rref_bases(p: int, dim: int):
     """The canonical RREF basis array of every subspace of F_p^dim once,
     in the order of enumerate_subspaces, one pivot pattern at a time:
     an iterator of (N, k, dim) stacks of bases sharing their pivot
-    columns.  The budget is checked on the call, before any stack is
+    columns.  The cap is checked on the call, before any stack is
     built."""
     total = sum(count_subspaces(p, dim, k) for k in range(dim + 1))
-    if total > budget.max_subspaces:
-        raise BudgetExceeded(f"{total} subspaces exceeds budget {budget.max_subspaces}")
+    if total > MAX_SUBSPACES:
+        raise BudgetExceeded(f"{total} subspaces exceeds budget {MAX_SUBSPACES}")
     return itertools.chain.from_iterable(
         _pattern_stacks(p, dim, pivots)
         for k in range(dim + 1)
@@ -205,7 +198,7 @@ def _pattern_stacks(p: int, dim: int, pivots: tuple[int, ...]):
         yield stack
 
 
-def enumerate_subspaces(p: int, dim: int, budget: EnumerationBudget = DEFAULT_BUDGET):
+def enumerate_subspaces(p: int, dim: int):
     """Yield every subspace of F_p^dim once, as canonical Subspace objects.
 
     Construction is direct: for each rank k and pivot-column choice,
@@ -214,7 +207,7 @@ def enumerate_subspaces(p: int, dim: int, budget: EnumerationBudget = DEFAULT_BU
     Gaussian elimination happens, so agreement of the count with
     count_subspaces is a real check on both sides.
     """
-    for stack in _rref_bases(p, dim, budget):
+    for stack in _rref_bases(p, dim):
         for m in stack:
             # Already in reduced echelon form by construction, so the raw
             # constructor is safe (and keeps elimination out of this code
@@ -227,7 +220,6 @@ def brute_max_invariant(
     dim: int,
     generators,
     ambient: Subspace | None = None,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Subspace:
     """Largest subspace of `ambient` mapped into itself by every generator.
 
@@ -243,7 +235,7 @@ def brute_max_invariant(
     invariant subspace of top dimension, verifying along the way that it
     contains every other invariant subspace found (the maximum is a sum,
     so this must hold; a failure means a bug in the caller's premises,
-    and raises).  The budget counts the ambient's subspaces, the ones
+    and raises).  MAX_SUBSPACES caps the ambient's subspaces, the ones
     enumerated.
     """
     gens = _generator_arrays(p, dim, generators)
@@ -253,7 +245,7 @@ def brute_max_invariant(
         raise DimensionMismatch("ambient does not live in F_p^dim")
     span = ambient.basis.a
     m = len(span)
-    stacks = _rref_bases(p, m, budget)  # checks the budget before any table is built
+    stacks = _rref_bases(p, m)  # checks the cap before any table is built
     span_pivots = _leading(span)
     # Row i of span @ act holds the images of the ambient's basis row i
     # under every generator: split them into their ambient coordinates and

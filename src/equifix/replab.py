@@ -42,11 +42,11 @@ from .linalg import (
 class FiniteRep:
     """Commuting order-p generator matrices acting on F_p^dim."""
 
-    __slots__ = ("p", "dim", "generators", "label")
+    __slots__ = ("p", "dim", "generators")
 
     MAX_GENERATORS = 6  # the p^r bound is vacuous at desk scale beyond this
 
-    def __init__(self, p: int, dim: int, generators, label: str = ""):
+    def __init__(self, p: int, dim: int, generators):
         check_prime(p)
         gens = tuple(generators)
         if len(gens) > self.MAX_GENERATORS:
@@ -71,7 +71,6 @@ class FiniteRep:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteRep is immutable")
@@ -201,7 +200,7 @@ def fixed_bound_check(rep: FiniteRep) -> BoundCheck:
     return BoundCheck(lhs, rhs, lhs >= rhs)
 
 
-def restrict_rep(rep: FiniteRep, w: Subspace, label: str = "") -> FiniteRep:
+def restrict_rep(rep: FiniteRep, w: Subspace) -> FiniteRep:
     """The same generators in coordinates of an invariant subspace w.
 
     Column i of a generator's matrix is the coordinates of its image of
@@ -216,16 +215,16 @@ def restrict_rep(rep: FiniteRep, w: Subspace, label: str = "") -> FiniteRep:
         if not w.spans(images):
             raise ChainInvariantViolation("subspace is not invariant under a generator")
         mats.append(FpMatrix._wrap(rep.p, images[:, w.pivots].T))
-    return FiniteRep(rep.p, w.dim, mats, label or rep.label)
+    return FiniteRep(rep.p, w.dim, mats)
 
 
-def quotient_rep(rep: FiniteRep, u: Subspace, label: str = "") -> FiniteRep:
+def quotient_rep(rep: FiniteRep, u: Subspace) -> FiniteRep:
     """Induced representation on V/u for an invariant subspace u."""
     if u.p != rep.p or u.ambient_dim != rep.dim:
         raise DimensionMismatch("subspace does not live in the representation space")
     q = quotient(Subspace.full(rep.p, rep.dim), u)
     mats = [q.induced(g) for g in rep.generators]
-    return FiniteRep(rep.p, q.dim, mats, label or rep.label)
+    return FiniteRep(rep.p, q.dim, mats)
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,7 @@ def _jordan_block_poly(rng, p: int, size: int) -> np.ndarray:
     return a
 
 
-def random_commuting_rep(rng, p: int, dim: int, r: int, label: str = "random") -> FiniteRep:
+def random_commuting_rep(rng, p: int, dim: int, r: int) -> FiniteRep:
     """Random FiniteRep: conjugated block-diagonal unipotent polynomials.
 
     Each generator is block-diagonal over one shared partition into
@@ -369,4 +368,4 @@ def random_commuting_rep(rng, p: int, dim: int, r: int, label: str = "random") -
     q = _random_invertible(rng, p, dim)
     qi = inverse(q)
     gens = [q @ FpMatrix(p, a) @ qi for a in blocks_per_gen]
-    return FiniteRep(p, dim, gens, label)
+    return FiniteRep(p, dim, gens)

@@ -120,17 +120,6 @@ class SparsePerturbation:
         object.__setattr__(out, "entries", tuple([e.shifted(k) for e in self.entries]))
         return out
 
-    def add(self, other: "SparsePerturbation") -> "SparsePerturbation":
-        self._check_compatible(other)
-        return SparsePerturbation(self.p, self.d, self.entries + other.entries)
-
-    def scale(self, c: int) -> "SparsePerturbation":
-        return SparsePerturbation(
-            self.p,
-            self.d,
-            (TapEntry(e.in_comp, e.in_exp, e.out_comp, e.out_exp, e.coeff * c) for e in self.entries),
-        )
-
     def compose(self, other: "SparsePerturbation") -> "SparsePerturbation":
         """self after other: taps chain when other's output slot feeds self's input."""
         self._check_compatible(other)
@@ -232,10 +221,6 @@ class ContractionModulus:
         return range(first, first if self.is_infinite else self.threshold(prec))
 
 
-def derive_modulus(n: SparsePerturbation) -> ContractionModulus:
-    return ContractionModulus(n.min_out_exp)
-
-
 def inverse_perturbation(n: SparsePerturbation) -> SparsePerturbation:
     """M with (id + N)^{-1} = id + M, via id + M = (id + N)^{p-1}.
 
@@ -243,16 +228,18 @@ def inverse_perturbation(n: SparsePerturbation) -> SparsePerturbation:
     """
     if not power_check_nilpotent(n):
         raise NotOrderP("cannot invert: perturbation is not nilpotent of order <= p")
-    result = SparsePerturbation.zero(n.p, n.d)
+    weighted = []
     power = n
     binom = 1
     for i in range(1, n.p):
         binom = binom * (n.p - i) // i  # binom(p-1, i)
-        result = result.add(power.scale(binom))
+        weighted += [TapEntry(e.in_comp, e.in_exp, e.out_comp, e.out_exp, e.coeff * binom)
+                     for e in power.entries]
         power = power.compose(n)
         if power.is_zero:
             break
-    return result
+    # The constructor merges equal taps and reduces their sums mod p.
+    return SparsePerturbation(n.p, n.d, weighted)
 
 
 def window_taps(n: SparsePerturbation, w: LatticeWindow) -> dict[tuple[int, int], int]:
@@ -275,8 +262,7 @@ def window_taps(n: SparsePerturbation, w: LatticeWindow) -> dict[tuple[int, int]
         if e.out_exp < w.lo:
             raise WindowTooNarrow(
                 f"tap {e.in_comp}@{e.in_exp} -> {e.out_comp}@{e.out_exp} writes below "
-                f"the window floor {w.lo}",
-                entry=e,
+                f"the window floor {w.lo}"
             )
         entries[w.index(e.out_comp, e.out_exp), w.index(e.in_comp, e.in_exp)] = e.coeff
     return entries

@@ -21,3 +21,22 @@ def test_demo_runs(script):
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_quickstart_runs():
+    """README's library quickstart runs and prints the witness its comment
+    shows, so README names only what the package still exports."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = "(0 + O(t^4), 1 + O(t^4))"
+    assert f"# {expected}" in block
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == expected

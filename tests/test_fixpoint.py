@@ -1362,7 +1362,7 @@ def _moved_by_apply_phi(a, v, n):
         return []
     threshold = a.modulus.threshold(n)
     return [
-        (k, apply_phi(a, LaurentSeries.t_power(a.p, k, prec=max(k + 1, threshold)), v,
+        (k, apply_phi(a, LaurentSeries(a.p, k, (1,), max(k + 1, threshold)), v,
                       out_prec=n))
         for k in range(-a.max_in_exp, threshold)
     ]
@@ -1370,7 +1370,7 @@ def _moved_by_apply_phi(a, v, n):
 
 def test_checked_generators_match_the_apply_phi_route(monkeypatch):
     """extract_witness applies each visible g_k to the lifted witness
-    directly; the t_power + apply_phi route gives the same checks, and the
+    directly; the monomial + apply_phi route gives the same checks, and the
     same InsufficientPrecision where the lifted witness is too short.  On
     random vectors, which the g_k move, the two routes give the same
     images."""

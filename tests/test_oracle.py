@@ -23,7 +23,6 @@ import equifix.linalg
 from equifix.errors import BudgetExceeded, DimensionMismatch
 from equifix.linalg import FpMatrix, Subspace, map_image
 from equifix.oracle import (
-    EnumerationBudget,
     brute_fixed,
     brute_max_invariant,
     count_subspaces,
@@ -57,9 +56,9 @@ def test_brute_fixed_agrees_with_kernel_computation():
 
 
 def test_brute_fixed_budget_guard():
-    tiny = EnumerationBudget(max_vectors=8, max_subspaces=8)
+    # 2^21 vectors, past the 2^20 cap: refused before any table is built.
     with pytest.raises(BudgetExceeded):
-        brute_fixed(2, 12, [FpMatrix.identity(2, 12)], budget=tiny)
+        brute_fixed(2, 21, [FpMatrix.identity(2, 21)])
 
 
 # ---------------------------------------------------------------- counting
@@ -96,9 +95,9 @@ def test_enumerate_matches_counts_and_is_duplicate_free():
 
 
 def test_enumerate_budget_guard():
-    tiny = EnumerationBudget(max_vectors=1 << 20, max_subspaces=10)
+    # F_2^9 has 8,283,458 subspaces, past the 2^22 cap.
     with pytest.raises(BudgetExceeded):
-        list(enumerate_subspaces(2, 5, budget=tiny))
+        list(enumerate_subspaces(2, 9))
 
 
 # ---------------------------------------------------------------- invariants
@@ -236,11 +235,11 @@ def test_max_invariant_builds_no_matrix_per_enumerated_subspace(monkeypatch):
 
 
 def test_enumerate_subspaces_wraps_the_raw_bases_in_order():
-    from equifix.oracle import DEFAULT_BUDGET, _rref_bases
+    from equifix.oracle import _rref_bases
 
     for p, dim in [(2, 0), (2, 3), (3, 2)]:
         subs = [s.basis.a for s in enumerate_subspaces(p, dim)]
-        raw = [c for stack in _rref_bases(p, dim, DEFAULT_BUDGET) for c in stack]
+        raw = [c for stack in _rref_bases(p, dim) for c in stack]
         assert len(subs) == len(raw)
         assert all(np.array_equal(s, r) for s, r in zip(subs, raw))
 
@@ -322,10 +321,10 @@ ORDER_CASES = [(2, d) for d in range(7)] + [(3, d) for d in range(5)] + [(5, d) 
 
 @pytest.mark.parametrize("p,dim", ORDER_CASES)
 def test_enumeration_order_is_pinned(p, dim):
-    from equifix.oracle import DEFAULT_BUDGET, _rref_bases
+    from equifix.oracle import _rref_bases
 
     expected = _digest(_reference_rref_bases(p, dim))
-    stacks = list(_rref_bases(p, dim, DEFAULT_BUDGET))
+    stacks = list(_rref_bases(p, dim))
     assert all(len({tuple(_reference_leading(c)) for c in s}) == 1 for s in stacks)
     assert _digest(c for s in stacks for c in s) == expected
     assert _digest(s.basis.a for s in enumerate_subspaces(p, dim)) == expected

@@ -28,7 +28,6 @@ from equifix.taps import (
     TapEntry,
     commutation_range_check,
     compose,
-    derive_modulus,
     induced_matrix,
     inverse_perturbation,
     power_check_nilpotent,
@@ -237,21 +236,21 @@ def test_commutation_check_conjugates_only_where_taps_chain(monkeypatch):
 
 
 def test_modulus_of_level_tap():
-    m = derive_modulus(pert(2, 2, TAP))
+    m = ContractionModulus(pert(2, 2, TAP).min_out_exp)
     assert not m.is_infinite
     for k in range(-3, 4):
         assert m.mu(k) == k
 
 
 def test_modulus_of_dropping_tap():
-    m = derive_modulus(pert(2, 2, DROP))
+    m = ContractionModulus(pert(2, 2, DROP).min_out_exp)
     for k in range(-3, 4):
         assert m.mu(k) == k - 1
     assert m.threshold(4) == 5  # generators at k >= 5 are invisible mod t^4
 
 
 def test_modulus_of_empty_seed_is_infinite():
-    m = derive_modulus(SparsePerturbation.zero(2, 2))
+    m = ContractionModulus(SparsePerturbation.zero(2, 2).min_out_exp)
     assert m.is_infinite and m.threshold(4) is None
 
 
@@ -296,7 +295,7 @@ def test_inverse_perturbation_gives_group_inverse():
     for n in seeds:
         m = inverse_perturbation(n)
         # (id + n)(id + m) = id means n + m + n.m = 0
-        total = n.add(m).add(compose(n, m))
+        total = SparsePerturbation(n.p, n.d, n.entries + m.entries + compose(n, m).entries)
         assert total.is_zero
         for _ in range(10):
             v = random_vector(rng, n.p, n.d, prec=5, min_val=-2)
