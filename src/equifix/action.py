@@ -227,10 +227,9 @@ def fixed_condition_rows(a: Action, w: LatticeWindow) -> list:
     return list(rows[rows.any(axis=1)])
 
 
-def random_valid_action(rng, p: int, d: int, max_entries: int = 4,
-                        exp_lo: int = -1, exp_hi: int = 1,
-                        attempts: int = 2000, label: str = "random") -> Action:
-    """Rejection-sample a certified action with small finite support.
+def random_valid_action(rng, p: int, d: int, exp_lo: int = -1, exp_hi: int = 1) -> Action:
+    """Rejection-sample a certified action labelled "random", with one to
+    four taps, in at most 2000 draws.
 
     Taps always point from a lower to a higher component index, so the
     component graph is acyclic; the certification checks then reject
@@ -238,8 +237,8 @@ def random_valid_action(rng, p: int, d: int, max_entries: int = 4,
     """
     if d < 2:
         raise ValueError("need d >= 2 for a nonzero seed")
-    for _ in range(attempts):
-        count = rng.randint(1, max_entries)
+    for _ in range(2000):
+        count = rng.randint(1, 4)
         entries = []
         for _ in range(count):
             a, b = rng.randint(1, d), rng.randint(1, d)
@@ -257,7 +256,7 @@ def random_valid_action(rng, p: int, d: int, max_entries: int = 4,
         if seed.is_zero:
             continue
         try:
-            return build_action(ActionSpec(p, d, seed, label))
+            return build_action(ActionSpec(p, d, seed, "random"))
         except (NotOrderP, NonCommuting):
             continue
     raise RuntimeError("failed to sample a valid action within the attempt budget")

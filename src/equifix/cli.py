@@ -23,13 +23,15 @@ or an l_max above it is limit-exceeded, and so is a d above MAX_DIM
 such an action fits the cap.  The report of a rejected
 config shows only values that passed their check.  Flags override
 config values.  Exit codes: 0 success, 1 validation failure, 2 soft
-failure (window, precision or l_max too small), 3 I/O or usage error.
+failure (window, precision or l_max too small), 3 I/O or usage error,
+a standard output closed early among them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -379,6 +381,7 @@ def _write(path: str, text: str) -> None:
 def _emit(args, command, status, action_dict, params, result, reason=None, human=()):
     for line in human:
         print(line)
+    sys.stdout.flush()  # a closed stdout fails here, before any report is written
     if getattr(args, "json", None):
         report = {
             "schema": 1,
@@ -726,6 +729,13 @@ def console_main(argv=None) -> int:
         return _run(args, args.command)
     except _UsageError as exc:
         print(f"equifix: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`).  Point stdout at
+        # devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("equifix: standard output was closed; no report written",
+              file=sys.stderr)
         return 3
 
 

@@ -26,9 +26,11 @@ The pipeline realized here, all in exact window coordinates:
      subspaces in a quotient, ready for the representation-theoretic
      growth probe (replab.dichotomy_probe).  Each copy, like t * m_hat
      in step 2, is read off m_hat's canonical basis (_shifted): only the
-     rows whose pivot leaves the window are eliminated.  Every
-     generator's quotient checks and induced matrix come from one
-     product per basis, with all generators side by side.
+     rows whose pivot leaves the window are eliminated.  One loop over
+     the visible generators takes each as its taps on the window, as
+     step 1 does: N_k v is read off the taps for every basis row v, the
+     quotient checks are one Subspace.spans per basis, and the induced
+     matrix is I plus the projection of N_k on the coset basis.
 
 Window arithmetic convention: a vector of window coordinates stands for
 the canonical representative supported on exponents [lo, hi).  Reads
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import Action, fixed_condition_rows, generator_matrices
+from .action import Action, fixed_condition_rows
 from .errors import (
     ChainInvariantViolation,
     DimensionMismatch,
@@ -383,7 +385,7 @@ def m_ell_chain(a: Action, l_max: int, w: LatticeWindow) -> InvariantChain:
         # The generators up to depth ell are g_{-ell} .. g_{top-1}: depth 0
         # adds g_0 .. g_{top-1} and depth ell only g_{-ell}, so each is
         # built once, and a window too narrow for g_{-ell} fails at depth
-        # ell with the message action.generator_matrices gives.
+        # ell with the message taps.window_taps gives.
         for k in range(0, top) if ell == 0 else range(-ell, min(top, 1 - ell)):
             spin.add_taps(window_taps(a.seed.conjugate(k), w))
         if spin.rows is read:  # R did not grow, so the member is the previous one
@@ -587,15 +589,20 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
 
     Each copy is read off m_hat's canonical basis (_shifted), and the
     nesting of the copies is Subspace.contains.  The steps of
-    QuotientSpace.induced run for every generator at once: one product
-    of the ambient's basis and one of the modded's with all generators
-    side by side give both invariance checks, and one more, of the coset
-    basis, projected in one batch, gives every induced matrix.  A
-    generator that fails a check raises ChainInvariantViolation naming
-    the first such t^k, and the ambient's check before the modded's, as
-    a generator-by-generator loop would.  What is eliminated: the rows
-    of each copy whose pivot leaves the sub-window, the quotient, and
-    each nested image.
+    QuotientSpace.induced run in one loop over the visible g_k = I + N_k,
+    each taken as its taps on the sub-window (taps.window_taps, all
+    collected before any check, so a sub-window too narrow for some g_k
+    raises WindowTooNarrow first): N_k v for the basis rows v of the
+    ambient, then of the modded, is one Subspace.spans each, and the
+    induced matrix is I plus the projection of N_k on the coset basis,
+    kept when that projection is nonzero.  The first generator that
+    fails a check, the ambient's before the modded's, raises
+    ChainInvariantViolation naming its t^k; it raises LMaxTooSmall
+    instead when l_max is below the seed's read-ahead max_in_exp, since
+    m_hat is closed only under the g_j with j >= -l_max and the g_k with
+    k >= -max_in_exp can read it.  What is eliminated: the rows of each
+    copy whose pivot leaves the sub-window, the quotient, and each nested
+    image.  No dense window matrix is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -615,33 +622,37 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
         if not copies[n + 1].contains(copies[n]):
             raise ChainInvariantViolation(f"t^-{n} copy is not inside the t^-{n + 1} copy")
     q = quotient(copies[n_max], copies[0])
-    p, dim = a.p, wp.dim
-    gens = generator_matrices(a, max(0, n_max + a.max_in_exp), wp)
-    # Every generator side by side: basis @ stack holds a basis's images
-    # under each generator in turn, one block of rows per generator.
-    stack = np.hstack([np.zeros((dim, 0), dtype=np.int64), *(m.a.T for _, m in gens)])
+    p = a.p
 
-    def images(basis: np.ndarray) -> np.ndarray:
-        return (basis @ stack % p).reshape(len(basis), len(gens), dim).swapaxes(0, 1)
+    def moved(taps: dict, basis: np.ndarray) -> np.ndarray:
+        """N*v for each row v of basis, not reduced mod p: each tap adds coeff * v[col] at row."""
+        out = np.zeros_like(basis)
+        for (row, col), coeff in taps.items():
+            out[:, row] += coeff * basis[:, col]
+        return out
 
-    def moved(space: Subspace) -> np.ndarray:
-        """Which generators map some basis row of space out of space."""
-        imgs = images(space.basis.a)
-        return ((imgs - imgs[:, :, space.pivots] @ space.basis.a) % p).any(axis=(1, 2))
-
-    # q.induced's two checks, the ambient's before the modded's, for the
-    # first generator that fails either.
-    ambient, modded = moved(q.ambient), moved(q.modded)
-    failing = np.flatnonzero(ambient | modded)
-    if failing.size:
-        i = failing[0]
-        raise ChainInvariantViolation(
-            f"generator at t^{gens[i][0]} does not preserve the shifted chain: map does not "
-            f"preserve the {'ambient' if ambient[i] else 'modded'} subspace"
-        )
-    induced = q.project(images(q.coset_basis.a).reshape(-1, dim)).reshape(len(gens), q.dim, q.dim)
-    ident = np.eye(q.dim, dtype=np.int64)
-    mats = [FpMatrix._wrap(p, m.T) for m in induced if (m != ident).any()]
+    # Every g_k's taps before any check, so a sub-window too narrow for
+    # one of them raises first.
+    gens = [(k, window_taps(a.seed.conjugate(k), wp))
+            for k in a.modulus.visible(-max(0, n_max + a.max_in_exp), wp.hi)]
+    mats = []
+    for k, taps in gens:
+        # g_k v = v + N_k v with v in the space: g_k keeps it iff each N_k v lies in it.
+        for name, space in (("ambient", q.ambient), ("modded", q.modded)):
+            if not space.spans(moved(taps, space.basis.a)):
+                if chain.l_max < a.max_in_exp:
+                    raise LMaxTooSmall(
+                        f"generator at t^{k} does not preserve the shifted chain: m_hat is "
+                        f"closed only under the g_j with j >= -l_max, and l_max {chain.l_max} "
+                        f"is below the seed's read-ahead {a.max_in_exp}"
+                    )
+                raise ChainInvariantViolation(
+                    f"generator at t^{k} does not preserve the shifted chain: map does not "
+                    f"preserve the {name} subspace"
+                )
+        shift = q.project(moved(taps, q.coset_basis.a))  # g_k induces I + shift
+        if shift.any():
+            mats.append(FpMatrix._wrap(p, (np.eye(q.dim, dtype=np.int64) + shift.T) % p))
     rep = FiniteRep(p, q.dim, mats)
     nested = tuple(
         Subspace.from_rows(p, q.dim, q.project(copies[n].basis.a)) for n in range(1, n_max + 1)

@@ -406,9 +406,10 @@ def coords_to_vector(coords, w: LatticeWindow) -> SeriesVector:
     return SeriesVector(comps)
 
 
-def random_series(rng, p: int, prec: int, min_val: int = -3, zero_weight: float = 0.1) -> LaurentSeries:
-    """Sampling helper for tests: a series with valuation >= min_val."""
-    if rng.random() < zero_weight:
+def random_series(rng, p: int, prec: int, min_val: int = -3) -> LaurentSeries:
+    """Sampling helper (tests and validate's equivariance samples): zero one
+    time in ten, else a series with valuation >= min_val."""
+    if rng.random() < 0.1:
         return LaurentSeries.zero(p, prec)
     val = rng.randint(min_val, max(min_val, prec - 1))
     cs = [rng.randrange(p) for _ in range(prec - val)]

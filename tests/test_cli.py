@@ -1,13 +1,18 @@
 """Driver-level tests: exit codes, report schema, determinism.
 
-Everything runs in-process through console_main(argv), so coverage of
-the failure paths is exact (argparse usage problems surface as
-SystemExit(3), everything else as a returned code).
+Everything but the closed-stdout test runs in-process through
+console_main(argv), so coverage of the failure paths is exact (argparse
+usage problems surface as SystemExit(3), everything else as a returned
+code).
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -905,3 +910,47 @@ def test_l_max_below_the_stabilizing_depth_is_a_soft_failure(tmp_path, capsys, c
     code, _, err = run(capsys, command, "--config", str(cfg), "--l-max",
                        suggestion.removeprefix("retry with l_max "))
     assert code == 0, err
+
+
+READ_AHEAD_CONFIG = "p: 2\nd: 3\nseed: [{in: [2, 1], out: [3, 0], coeff: 1}]\n"
+
+
+def test_lemma_check_below_the_read_ahead_is_l_max_too_small(tmp_path, capsys):
+    """m_hat at l_max 0 is not closed under g_-1, which reads it through
+    the tap at exponent 1: an l_max to raise, not an invariant violation."""
+    cfg = tmp_path / "ahead.yaml"
+    cfg.write_text(READ_AHEAD_CONFIG)
+    rpt = tmp_path / "ahead.json"
+    code, _, err = run(capsys, "lemma-check", "--config", str(cfg), "--l-max", "0",
+                       "--n-max", "1", "--json", str(rpt))
+    assert code == 2, err
+    report = load_report(rpt)
+    assert report["status"] == "window-too-small"
+    assert report["reason"] == "l-max-too-small"
+    assert "below the seed's read-ahead 1" in report["result"]["message"]
+    assert report["result"]["suggestion"] == "retry with l_max 1"
+    code, _, err = run(capsys, "lemma-check", "--config", str(cfg), "--l-max", "1", "--n-max", "1")
+    assert code == 0, err
+
+
+def test_closed_stdout_is_an_io_error_without_a_traceback(tmp_path):
+    """A reader that stops early (`| head -1`) makes a write to stdout fail:
+    exit 3 with one line on stderr, and no report."""
+    cfg = tmp_path / "tap.yaml"
+    cfg.write_text(EXPECTED_TAP_YAML)
+    rpt = tmp_path / "tap.json"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    # 20,000 modulus lines, about 400 kB: more than any pipe buffer holds.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equifix.cli", "validate", "--config", str(cfg),
+         "--l-max", "20000", "--json", str(rpt)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"action tap:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3, err
+    assert err.splitlines() == ["equifix: standard output was closed; no report written"]
+    assert not rpt.exists()

@@ -23,6 +23,7 @@ from equifix.errors import (
     EquifixError,
     InsufficientPrecision,
     InvalidQuotient,
+    LimitExceeded,
     LMaxTooSmall,
     SingularGenerator,
     WindowTooNarrow,
@@ -30,6 +31,7 @@ from equifix.errors import (
 from equifix.fixpoint import (
     InvariantChain,
     _is_intersection,
+    _shifted,
     _SpinUp,
     _t_stable,
     default_window,
@@ -45,9 +47,9 @@ from equifix.fixpoint import (
     window_b_image,
 )
 from equifix.laurent import LatticeWindow, LaurentSeries, format_vector, parse_series, random_vector
-from equifix.linalg import FpMatrix, Subspace, inverse, map_image, map_preimage
+from equifix.linalg import FpMatrix, Subspace, inverse, map_image, map_preimage, quotient
 from equifix.oracle import brute_max_invariant
-from equifix.replab import dichotomy_probe
+from equifix.replab import FiniteRep, dichotomy_probe
 from equifix.taps import SparsePerturbation, TapEntry, window_taps
 
 
@@ -751,8 +753,8 @@ def test_t_m_hat_and_the_lemma_copies_are_the_shifted_rows_eliminated():
 
 
 def _induced_route_message(q, gens):
-    """The message of the per-generator route lemma_chain_from_action
-    replaced: QuotientSpace.induced on each generator in turn."""
+    """The message of the per-generator route: QuotientSpace.induced on
+    each generator in turn."""
     for k, m in gens:
         try:
             q.induced(m)
@@ -761,10 +763,53 @@ def _induced_route_message(q, gens):
     return None
 
 
+def _dense_route(q, gens):
+    """The route lemma_chain_from_action took before it read generators
+    as taps: every g_k a dense window matrix, all side by side, one
+    product per basis.  Returns the induced matrices kept, or the message
+    of the first generator that fails a check."""
+    p, dim = q.p, q.ambient.ambient_dim
+    stack = np.hstack([np.zeros((dim, 0), dtype=np.int64), *(m.a.T for _, m in gens)])
+
+    def images(basis):
+        return (basis @ stack % p).reshape(len(basis), len(gens), dim).swapaxes(0, 1)
+
+    def moved(space):
+        imgs = images(space.basis.a)
+        return ((imgs - imgs[:, :, space.pivots] @ space.basis.a) % p).any(axis=(1, 2))
+
+    ambient, modded = moved(q.ambient), moved(q.modded)
+    failing = np.flatnonzero(ambient | modded)
+    if failing.size:
+        i = failing[0]
+        return (f"generator at t^{gens[i][0]} does not preserve the shifted chain: map does not "
+                f"preserve the {'ambient' if ambient[i] else 'modded'} subspace")
+    induced = q.project(images(q.coset_basis.a).reshape(-1, dim)).reshape(len(gens), q.dim, q.dim)
+    ident = np.eye(q.dim, dtype=np.int64)
+    return [FpMatrix._wrap(p, m.T) for m in induced if (m != ident).any()]
+
+
+def _quotient_and_generators(a, chain, n_max):
+    """The quotient lemma_chain_from_action builds, and the dense window
+    matrices of the generators it reads."""
+    w = chain.window
+    wp = LatticeWindow(w.lo, w.hi - n_max, a.d, a.p)
+    q = quotient(_shifted(chain.m_hat, w, wp, -n_max), _shifted(chain.m_hat, w, wp, 0))
+    return q, generator_matrices(a, max(0, n_max + a.max_in_exp), wp)
+
+
+def _taps_of(m):
+    """The window taps of the generator m = I + N: the nonzero entries of N."""
+    n = (m.a - np.eye(m.rows, dtype=np.int64)) % m.p
+    r, c = np.nonzero(n)
+    return dict(zip(zip(r.tolist(), c.tolist()), n[r, c].tolist()))
+
+
 def test_a_generator_breaking_the_shifted_chain_is_named_like_the_induced_route(monkeypatch):
-    """Every generator's checks run in one product, and the failure still
-    names the first failing t^k with the check it failed, the ambient's
-    before the modded's."""
+    """The generators are checked one at a time on their taps, and the
+    failure names the first failing t^k with the check it failed, the
+    ambient's before the modded's, as the per-generator induced route and
+    the dense side-by-side route do."""
     import equifix.fixpoint
 
     a = mk_action(*CHAIN3)
@@ -798,10 +843,105 @@ def test_a_generator_breaking_the_shifted_chain_is_named_like_the_induced_route(
         expect = _induced_route_message(q, patched)
         k = gens[min(swaps)][0]
         assert expect.startswith(f"generator at t^{k} does not preserve"), name
-        monkeypatch.setattr(equifix.fixpoint, "generator_matrices", lambda *args: patched)
+        assert _dense_route(q, patched) == expect, name
+        taps = {a.seed.conjugate(k): _taps_of(m) for k, m in patched}
+        monkeypatch.setattr(equifix.fixpoint, "window_taps", lambda n, w: taps[n])
         with pytest.raises(ChainInvariantViolation) as info:
             lemma_chain_from_action(a, chain, n_max)
         assert str(info.value) == expect, name
+
+
+def _lemma_cases():
+    """(action, l_max, n_max, window): the bundled families and random
+    actions at p = 2, 3, 5 with reads ahead of their writes, at n_max
+    1..6, on the policy window and on one two wider each way."""
+    rng = random.Random(33)
+    actions = [mk_action(*fam) for fam in FAMILIES.values()]
+    actions += [random_valid_action(rng, (2, 3, 5)[i % 3], rng.randint(2, 4), exp_lo=-2, exp_hi=2)
+                for i in range(24)]
+    for i, a in enumerate(actions):
+        for n_max in range(1, 7):
+            l_max = (0, 1, 2)[(i + n_max) % 3]
+            w = default_window(a, n_max + 2, l_max, n_max=n_max)
+            yield a, l_max, n_max, w
+            yield a, l_max, n_max, LatticeWindow(w.lo - 2, w.hi + 2, a.d, a.p)
+
+
+def test_lemma_chain_matches_the_dense_route():
+    """The tap route gives the dense route's quotient, induced matrices
+    and nested images, and where the dense route names a failing
+    generator, raises for the same t^k: ChainInvariantViolation with the
+    same message, or LMaxTooSmall when l_max is below the read-ahead."""
+    outcomes = set()
+    for a, l_max, n_max, w in _lemma_cases():
+        try:
+            chain = m_ell_chain(a, l_max, w)
+        except LMaxTooSmall:
+            continue
+        q, gens = _quotient_and_generators(a, chain, n_max)
+        expect = _dense_route(q, gens)
+        if isinstance(expect, str):
+            error = LMaxTooSmall if l_max < a.max_in_exp else ChainInvariantViolation
+            with pytest.raises(error) as info:
+                lemma_chain_from_action(a, chain, n_max)
+            assert str(info.value).startswith(expect.split(":")[0] + ":")
+            if error is ChainInvariantViolation:
+                assert str(info.value) == expect
+            outcomes.add(error.__name__)
+            continue
+        if len(expect) > FiniteRep.MAX_GENERATORS:
+            with pytest.raises(LimitExceeded):
+                lemma_chain_from_action(a, chain, n_max)
+            outcomes.add("LimitExceeded")
+            continue
+        lc = lemma_chain_from_action(a, chain, n_max)
+        assert lc.space.ambient == q.ambient and lc.space.modded == q.modded
+        assert list(lc.rep.generators) == expect
+        assert [s.basis.a.tolist() for s in lc.nested] == [
+            Subspace.from_rows(a.p, q.dim, q.project(_shifted(chain.m_hat, w, lc.window, -n).basis.a))
+            .basis.a.tolist() for n in range(1, n_max + 1)
+        ]
+        outcomes.add("ok")
+    assert outcomes == {"ok", "LMaxTooSmall", "LimitExceeded"}
+
+
+def test_lemma_chain_below_the_read_ahead_is_l_max_too_small():
+    """g_k with k >= -max_in_exp read m_hat, which is closed only under
+    the g_j with j >= -l_max: below the read-ahead the check fails, and
+    that is an l_max to raise."""
+    a = mk_action(2, 3, [(2, 1, 3, 0, 1)])
+    chain = m_ell_chain(a, 0, default_window(a, 4, 0, n_max=1))
+    with pytest.raises(LMaxTooSmall, match="generator at t\\^-2 does not preserve") as info:
+        lemma_chain_from_action(a, chain, 1)
+    assert "l_max 0 is below the seed's read-ahead 1" in str(info.value)
+    assert not isinstance(info.value, ChainInvariantViolation)
+    lc = lemma_chain_from_action(a, m_ell_chain(a, 1, default_window(a, 4, 1, n_max=1)), 1)
+    assert lc.rep.r >= 1
+
+
+def test_pipeline_builds_no_dense_generator(monkeypatch):
+    """With induced_matrix and generator_matrices raising wherever the
+    package binds them, the chain, the fixed point and the lemma chain
+    still run, on the bundled families and on a dim-492 sub-window."""
+    import equifix.action
+    import equifix.fixpoint
+    import equifix.taps
+
+    def no_dense(*args):
+        raise AssertionError("dense generator matrix built")
+
+    for mod in (equifix.taps, equifix.action, equifix.fixpoint):
+        for name in ("induced_matrix", "generator_matrices"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, no_dense)
+    for name, fam in FAMILIES.items():
+        a = mk_action(*fam)
+        find_fixed_point(a, 4, 3)
+        lc = lemma_chain_from_action(a, m_ell_chain(a, 3, default_window(a, 4, 3, n_max=3)), 3)
+        assert lc.space.dim == {"trivial": 3, "chain-3": 9}.get(name, 6), name
+    a = mk_action(*TAP)
+    lc = lemma_chain_from_action(a, m_ell_chain(a, 3, LatticeWindow(-150, 100, d=2, p=2)), 4)
+    assert lc.window.dim == 492 and lc.space.dim == 8 and lc.rep.r == 4
 
 
 # ------------------------------------------------- generator checks and guards
