@@ -17,12 +17,12 @@ missing p or d, an integer field holding anything but a YAML integer, a
 d below 1, a tap component outside 1..d, a seed that is not a list of
 such taps, a label that is not a string and a window without lo < hi
 are parse errors whose message names the key; a null seed or label
-means the empty default.  A tap exponent beyond ±MAX_EXPONENT (laurent)
-or an l_max above it is limit-exceeded, and so is a d above MAX_DIM
-(linalg): a window holds d coordinates per exponent, so no window of
-such an action fits the cap.  The report of a rejected
-config shows only values that passed their check.  Flags override
-config values.  Exit codes: 0 success, 1 validation failure, 2 soft
+means the empty default.  A tap exponent beyond ±MAX_EXPONENT (laurent),
+a precision or an l_max above it is limit-exceeded, and so is a d above
+MAX_DIM (linalg): a window holds d coordinates per exponent, so no
+window of such an action fits the cap.  The report of a rejected config
+shows only values that passed their check.  Flags override config
+values.  Exit codes: 0 success, 1 validation failure, 2 soft
 failure (window, precision or l_max too small), 3 I/O or usage error,
 a standard output closed early among them.
 """
@@ -352,6 +352,8 @@ def _resolve_params(args, data: dict, window: tuple[int, int] | None) -> dict:
     params["window"] = window if args.window is None else args.window
     if params["precision"] < 1:
         raise ValueError("precision must be >= 1")
+    if params["precision"] > MAX_EXPONENT:
+        raise LimitExceeded(f"precision {params['precision']} beyond {MAX_EXPONENT}")
     if params["l_max"] < 0:
         raise ValueError("l_max must be >= 0")
     if params["l_max"] > MAX_EXPONENT:

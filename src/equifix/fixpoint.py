@@ -28,9 +28,8 @@ The pipeline realized here, all in exact window coordinates:
      in step 2, is read off m_hat's canonical basis (_shifted): only the
      rows whose pivot leaves the window are eliminated.  One loop over
      the visible generators takes each as its taps on the window, as
-     step 1 does: N_k v is read off the taps for every basis row v, the
-     quotient checks are one Subspace.spans per basis, and the induced
-     matrix is I plus the projection of N_k on the coset basis.
+     step 1 does, and QuotientSpace.induced_from_images checks it and
+     reads off its matrix from the images g_k v of the basis rows v.
 
 Window arithmetic convention: a vector of window coordinates stands for
 the canonical representative supported on exponents [lo, hi).  Reads
@@ -50,6 +49,7 @@ from .errors import (
     ChainInvariantViolation,
     DimensionMismatch,
     EmptyFixedSpace,
+    InvalidQuotient,
     LimitExceeded,
     LMaxTooSmall,
     SingularGenerator,
@@ -588,18 +588,16 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
     generators are the finitely many that move something there.
 
     Each copy is read off m_hat's canonical basis (_shifted), and the
-    nesting of the copies is Subspace.contains.  The steps of
-    QuotientSpace.induced run in one loop over the visible g_k = I + N_k,
-    each taken as its taps on the sub-window (taps.window_taps, all
-    collected before any check, so a sub-window too narrow for some g_k
-    raises WindowTooNarrow first): N_k v for the basis rows v of the
-    ambient, then of the modded, is one Subspace.spans each, and the
-    induced matrix is I plus the projection of N_k on the coset basis,
-    kept when that projection is nonzero.  The first generator that
-    fails a check, the ambient's before the modded's, raises
-    ChainInvariantViolation naming its t^k; it raises LMaxTooSmall
-    instead when l_max is below the seed's read-ahead max_in_exp, since
-    m_hat is closed only under the g_j with j >= -l_max and the g_k with
+    nesting of the copies is Subspace.contains.  Each visible
+    g_k = I + N_k is taken as its taps on the sub-window
+    (taps.window_taps, all collected before any check, so a sub-window
+    too narrow for some g_k raises WindowTooNarrow first); the images
+    v + N_k v of the ambient's basis rows v go to
+    QuotientSpace.induced_from_images, which makes the quotient checks
+    and gives the induced matrix, kept when it is not I.  A failed
+    check raises ChainInvariantViolation naming t^k, or LMaxTooSmall
+    when l_max is below the seed's read-ahead max_in_exp, since m_hat is
+    closed only under the g_j with j >= -l_max and the g_k with
     k >= -max_in_exp can read it.  What is eliminated: the rows of each
     copy whose pivot leaves the sub-window, the quotient, and each nested
     image.  No dense window matrix is built.
@@ -622,37 +620,28 @@ def lemma_chain_from_action(a: Action, chain: InvariantChain, n_max: int) -> Lem
         if not copies[n + 1].contains(copies[n]):
             raise ChainInvariantViolation(f"t^-{n} copy is not inside the t^-{n + 1} copy")
     q = quotient(copies[n_max], copies[0])
-    p = a.p
-
-    def moved(taps: dict, basis: np.ndarray) -> np.ndarray:
-        """N*v for each row v of basis, not reduced mod p: each tap adds coeff * v[col] at row."""
-        out = np.zeros_like(basis)
-        for (row, col), coeff in taps.items():
-            out[:, row] += coeff * basis[:, col]
-        return out
-
+    p, basis, eye = a.p, q.ambient.basis.a, np.eye(q.dim, dtype=np.int64)
     # Every g_k's taps before any check, so a sub-window too narrow for
-    # one of them raises first.
-    gens = [(k, window_taps(a.seed.conjugate(k), wp))
-            for k in a.modulus.visible(-max(0, n_max + a.max_in_exp), wp.hi)]
+    # one of them raises first; a g_k with no taps there acts as I.
+    gens = [(k, taps) for k in a.modulus.visible(-max(0, n_max + a.max_in_exp), wp.hi)
+            if (taps := window_taps(a.seed.conjugate(k), wp))]
     mats = []
     for k, taps in gens:
-        # g_k v = v + N_k v with v in the space: g_k keeps it iff each N_k v lies in it.
-        for name, space in (("ambient", q.ambient), ("modded", q.modded)):
-            if not space.spans(moved(taps, space.basis.a)):
-                if chain.l_max < a.max_in_exp:
-                    raise LMaxTooSmall(
-                        f"generator at t^{k} does not preserve the shifted chain: m_hat is "
-                        f"closed only under the g_j with j >= -l_max, and l_max {chain.l_max} "
-                        f"is below the seed's read-ahead {a.max_in_exp}"
-                    )
-                raise ChainInvariantViolation(
-                    f"generator at t^{k} does not preserve the shifted chain: map does not "
-                    f"preserve the {name} subspace"
+        images = basis.copy()  # g_k v = v + N_k v: each tap adds coeff * v[col] at row
+        for (row, col), coeff in taps.items():
+            images[:, row] += coeff * basis[:, col]
+        try:
+            g = q.induced_from_images(images)
+        except InvalidQuotient as exc:
+            if chain.l_max < a.max_in_exp:
+                raise LMaxTooSmall(
+                    f"generator at t^{k} does not preserve the shifted chain: m_hat is "
+                    f"closed only under the g_j with j >= -l_max, and l_max {chain.l_max} "
+                    f"is below the seed's read-ahead {a.max_in_exp}"
                 )
-        shift = q.project(moved(taps, q.coset_basis.a))  # g_k induces I + shift
-        if shift.any():
-            mats.append(FpMatrix._wrap(p, (np.eye(q.dim, dtype=np.int64) + shift.T) % p))
+            raise ChainInvariantViolation(f"generator at t^{k} does not preserve the shifted chain: {exc}")
+        if not np.array_equal(g.a, eye):
+            mats.append(g)
     rep = FiniteRep(p, q.dim, mats)
     nested = tuple(
         Subspace.from_rows(p, q.dim, q.project(copies[n].basis.a)) for n in range(1, n_max + 1)

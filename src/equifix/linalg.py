@@ -391,7 +391,7 @@ class Subspace:
         span that agrees with o on the pivot columns.  vecs is reduced
         mod p first, so any int64 entries are read exactly."""
         vecs = np.asarray(vecs, dtype=np.int64) % self.p
-        return not ((vecs - vecs[:, self.pivots] @ self.basis.a) % self.p).any()
+        return np.array_equal(vecs, _mul(vecs[:, self.pivots], self.basis.a, self.p))
 
     def sum(self, other: "Subspace") -> "Subspace":
         """self + other: the canonical RREF of both bases stacked, which may
@@ -498,6 +498,10 @@ class QuotientSpace:
         subspace and of the rows kept before it.
       * Coordinates: K vanishes on span(C) and K[:, T] = I, so
         a = c*I[T] + d*C gives a @ K^T = c, with nothing eliminated.
+      * Induced maps: a map keeping the ambient sends B to x*B, x its
+        images' columns piv, so a in ambient coordinates goes to a*x.  The
+        modded, span(C) = ker(K^T) there, is kept iff C*x*K^T = 0, and
+        coset row j goes to class x[T_j] @ K^T: one spans, two products.
     """
 
     __slots__ = ("p", "ambient", "modded", "coset_basis", "_coords")
@@ -512,7 +516,7 @@ class QuotientSpace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "modded", modded)
         object.__setattr__(self, "coset_basis", FpMatrix._wrap(p, ambient.basis.a[coords.pivots]))
-        object.__setattr__(self, "_coords", coords.basis.a)
+        object.__setattr__(self, "_coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientSpace is immutable")
@@ -529,7 +533,7 @@ class QuotientSpace:
             raise DimensionMismatch("vectors do not live in the ambient space")
         if not self.ambient.spans(np.atleast_2d(vecs)):
             raise DimensionMismatch("vector is not in the ambient subspace")
-        return vecs[..., self.ambient.pivots] @ self._coords.T % self.p
+        return vecs[..., self.ambient.pivots] @ self._coords.basis.a.T % self.p
 
     def lift(self, coords) -> np.ndarray:
         """Canonical representative of the class with the given coordinates."""
@@ -540,19 +544,24 @@ class QuotientSpace:
 
     def induced(self, m: FpMatrix) -> FpMatrix:
         """Matrix of the map induced by m on the quotient: column j is the
-        projection of m applied to coset representative j.
-
-        Requires m(ambient) <= ambient and m(modded) <= modded, checked on
-        the raw images of the two canonical bases.
-        """
+        class of m applied to coset representative j."""
         n = self.ambient.ambient_dim
         if m.p != self.p or m.shape != (n, n):
             raise DimensionMismatch("map does not act on the ambient space")
-        if not self.ambient.spans(self.ambient.basis.a @ m.a.T % self.p):
+        return self.induced_from_images(_mul(self.ambient.basis.a, m.a.T, self.p))
+
+    def induced_from_images(self, images) -> FpMatrix:
+        """Matrix of the map induced on the quotient by the map that sends
+        row i of the ambient's canonical basis to row i of images; raises
+        InvalidQuotient unless it keeps the ambient and the modded."""
+        p, piv, k = self.p, self.ambient.pivots, self._coords
+        images = np.asarray(images, dtype=np.int64) % p
+        if not self.ambient.spans(images):
             raise InvalidQuotient("map does not preserve the ambient subspace")
-        if not self.modded.spans(self.modded.basis.a @ m.a.T % self.p):
+        y = _mul(images[:, piv], k.basis.a.T, p)  # x @ K^T
+        if _mul(self.modded.basis.a[:, piv], y, p).any():
             raise InvalidQuotient("map does not preserve the modded subspace")
-        return FpMatrix._wrap(self.p, self.project(self.coset_basis.a @ m.a.T).T)
+        return FpMatrix._wrap(p, y[k.pivots].T)
 
 
 def quotient(ambient: Subspace, modded: Subspace) -> QuotientSpace:

@@ -828,6 +828,31 @@ def test_l_max_beyond_the_exponent_cap_is_limit_exceeded(tmp_path, capsys, comma
     assert report["result"] == {"message": "l_max 1000001 beyond 1000000"}
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_precision_beyond_the_exponent_cap_is_refused_before_sampling(tmp_path, capsys, monkeypatch, how):
+    """The precision is capped like l_max: the reader refuses it before
+    validate draws a sample series, whose length grows with it."""
+    import equifix.cli
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sample drawn")
+
+    monkeypatch.setattr(equifix.cli, "random_series", no_sample)
+    cfg = family_config(tmp_path, capsys, "tap")
+    flags = []
+    if how == "flag":
+        flags += ["--precision", "30000000"]
+    else:
+        cfg.write_text(cfg.read_text().replace("precision: 4", "precision: 30000000"))
+    rpt = tmp_path / "long.json"
+    code, out, err = run(capsys, "validate", "--config", str(cfg), *flags, "--json", str(rpt))
+    assert code == 1 and out == ""
+    assert "limit-exceeded: precision 30000000 beyond 1000000" in err
+    report = load_report(rpt)
+    assert (report["status"], report["reason"]) == ("validation-failure", "limit-exceeded")
+    assert report["result"] == {"message": "precision 30000000 beyond 1000000"}
+
+
 @pytest.mark.parametrize("command", ["validate", "find-fixed", "invariant-chain"])
 def test_d_beyond_the_dimension_cap_is_limit_exceeded(tmp_path, capsys, command):
     """No window of more than 512 components fits the cap, so the reader

@@ -944,6 +944,36 @@ def test_pipeline_builds_no_dense_generator(monkeypatch):
     assert lc.window.dim == 492 and lc.space.dim == 8 and lc.rep.r == 4
 
 
+def test_lemma_chain_checks_each_generator_with_one_spans(monkeypatch):
+    """QuotientSpace.induced_from_images proves each visible generator's
+    membership once: Subspace.spans runs at most once per window_taps
+    call, plus the n_max nesting checks, the quotient's containment check
+    and the n_max nested images' projections."""
+    import equifix.fixpoint
+
+    real_spans, real_taps = Subspace.spans, equifix.fixpoint.window_taps
+    calls = {"spans": 0, "taps": 0}
+
+    def spans(self, vecs):
+        calls["spans"] += 1
+        return real_spans(self, vecs)
+
+    def taps(n, w):
+        calls["taps"] += 1
+        return real_taps(n, w)
+
+    c3, tap = mk_action(*CHAIN3), mk_action(*TAP)
+    cases = [(c3, m_ell_chain(c3, 3, default_window(c3, 6, 3, n_max=4))),
+             (tap, m_ell_chain(tap, 3, LatticeWindow(-150, 100, d=2, p=2)))]
+    monkeypatch.setattr(Subspace, "spans", spans)
+    monkeypatch.setattr(equifix.fixpoint, "window_taps", taps)
+    for a, chain in cases:
+        calls.update(spans=0, taps=0)
+        lemma_chain_from_action(a, chain, 4)
+        assert calls["taps"] >= 6, calls
+        assert calls["spans"] <= calls["taps"] + 2 * 4 + 1, calls
+
+
 # ------------------------------------------------- generator checks and guards
 
 

@@ -667,6 +667,67 @@ def test_quotient_eliminates_once_and_reads_off_the_rest(monkeypatch):
         assert q.induced(m) == FpMatrix.identity(p, q.dim)
 
 
+def three_check_induced(q, m):
+    """QuotientSpace.induced as it read before induced_from_images: two
+    membership checks, then project (a third) on the coset images."""
+    p = q.p
+    if not q.ambient.spans(q.ambient.basis.a @ m.a.T % p):
+        raise InvalidQuotient("map does not preserve the ambient subspace")
+    if not q.modded.spans(q.modded.basis.a @ m.a.T % p):
+        raise InvalidQuotient("map does not preserve the modded subspace")
+    return FpMatrix(p, q.project(q.coset_basis.a @ m.a.T).T)
+
+
+def adapted_map(rng, q, breaks):
+    """A map sending the modded basis into the modded, the coset rows into
+    the ambient and the unit rows off the ambient's pivots anywhere, but
+    with one image pushed out: a modded row by a coset row ("modded"), a
+    coset row by a unit row ("ambient"), a modded row by a unit row
+    ("both"); None when the pair leaves no room for that push."""
+    ambient, modded, p = q.ambient, q.modded, q.p
+    n = ambient.ambient_dim
+    units = np.eye(n, dtype=np.int64)[np.delete(np.arange(n), ambient.pivots)]
+    blocks = [modded.basis.a, q.coset_basis.a, units]
+    images = [random_members(rng, s, len(b)) for s, b in zip((modded, ambient, Subspace.full(p, n)), blocks)]
+    if breaks is not None:
+        at, push = {"modded": (0, 1), "ambient": (1, 2), "both": (0, 2)}[breaks]
+        if not (len(blocks[at]) and len(blocks[push])):
+            return None
+        images[at][0] = (images[at][0] + blocks[push][0]) % p
+    basis, image = np.vstack(blocks), np.vstack(images)
+    return FpMatrix(p, image.T) @ inverse(FpMatrix(p, basis.T))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_induced_matches_the_three_check_route(p):
+    """induced (through induced_from_images) gives the matrix or the
+    InvalidQuotient message of the three-check route, on maps that keep
+    both subspaces, break only the ambient, only the modded, or both."""
+    rng = random.Random(8000 + p)
+    expected = {None: None, "ambient": "ambient", "modded": "modded", "both": "ambient"}
+    seen = dict.fromkeys(expected, 0)
+    for ambient, modded in quotient_pairs(p, 6, seed=9000 + p):
+        q = quotient(ambient, modded)
+        for breaks, name in expected.items():
+            m = adapted_map(rng, q, breaks)
+            if m is None:
+                continue
+            seen[breaks] += 1
+            try:
+                want = three_check_induced(q, m)
+            except InvalidQuotient as exc:
+                assert str(exc) == f"map does not preserve the {name} subspace"
+                with pytest.raises(InvalidQuotient, match=f"^{exc}$"):
+                    q.induced(m)
+                with pytest.raises(InvalidQuotient, match=f"^{exc}$"):
+                    q.induced_from_images(ambient.basis.a @ m.a.T)
+                continue
+            assert name is None
+            assert q.induced(m) == want
+            assert q.induced_from_images(ambient.basis.a @ m.a.T) == want
+    assert min(seen.values()) >= 20, seen
+
+
 def test_zero_and_full_build_their_bases_directly(monkeypatch):
     import equifix.linalg
 
